@@ -627,7 +627,7 @@ let chaos3_benchmark () =
     exit 1
   end
 
-(* ------------- part 6: hot-path A/B benchmark ---------------------- *)
+(* ------------- part 6: hot-path benchmark -------------------------- *)
 
 type hotpath_run = {
   hp_wall : float; (* best of the reps *)
@@ -638,33 +638,27 @@ type hotpath_run = {
   hp_wheel_scheduled : int;
   hp_heap_scheduled : int;
   hp_compactions : int;
-  hp_batches : int;
-  hp_batched_events : int;
   hp_pool_hits : int;
   hp_pool_misses : int;
   hp_pool_dropped : int;
   hp_flows_tracked : int;
-  hp_dump : string;  (* canonical FCT records, for the A/B cross-check *)
+  hp_dump : string;  (* canonical FCT records, for the rep-to-rep check *)
 }
 
-(* Deterministic allocation ceiling for the full optimized path, in
+(* Deterministic allocation ceiling for the scheduler hot path, in
    minor-heap words per event.  Minor words are a property of the code,
    not the host — the same build allocates the same words wherever it
    runs — so unlike events/s this gate cannot be loosened by a noisy
-   CI box.  History: seed ~23.5 w/e, wheel+tags pass 12.9 w/e, arena +
-   flat-record pass 6.3 w/e. *)
+   CI box.  The trajectory that brought it under budget is in
+   DESIGN.md §15. *)
 let minor_words_budget = 8.0
 
-(* Same-host, same-process A/B/C of the scheduler hot path: the flagship
-   websearch scenario (failure recovery on, so the maintain tick and idle
-   flowlet eviction run) on the seed's closure-per-event binary-heap
-   path, on the timer wheel + defunctionalized tags path (the previous
-   optimization round), and on the full path with batched event
-   delivery.  All runs must produce byte-identical FCT records — the
-   optimization's contract is that it is observationally invisible — and
-   the GC/pool/throughput numbers land in results/BENCH_hotpath.json so
-   CI tracks the trajectory measured under identical conditions.  Wall
-   times are the best of [reps] back-to-back runs: the minimum is the
+(* The flagship websearch scenario (failure recovery on, so the
+   maintain tick and idle flowlet eviction run), driven [reps] times
+   back to back.  Every rep must produce byte-identical FCT records —
+   the run is deterministic, so a divergence is a bug — and the
+   GC/pool/throughput numbers land in results/BENCH_hotpath.json so CI
+   tracks them.  Wall time is the best of the reps: the minimum is the
    closest observable to the true cost on a timeshared box. *)
 let hotpath_benchmark () =
   (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -673,11 +667,7 @@ let hotpath_benchmark () =
   let reps = if quick then 2 else 3 in
   let load = 0.6 in
   let seed = 1 in
-  let run_once ~defunc ~wheel ~batch =
-    Scheduler.defunctionalized := defunc;
-    (* must be set before [Scenario.build]: captured at scheduler creation *)
-    Scheduler.wheel_enabled := wheel;
-    Scheduler.batched := batch;
+  let run_once () =
     let params =
       {
         Scenario.default_params with
@@ -732,8 +722,6 @@ let hotpath_benchmark () =
         hp_wheel_scheduled = Scheduler.wheel_scheduled sched;
         hp_heap_scheduled = Scheduler.heap_scheduled sched;
         hp_compactions = Scheduler.compactions sched;
-        hp_batches = Scheduler.batches_dispatched sched;
-        hp_batched_events = Scheduler.batched_events sched;
         hp_pool_hits = pool.Netsim.Packet_pool.hits;
         hp_pool_misses = pool.Netsim.Packet_pool.misses;
         hp_pool_dropped = pool.Netsim.Packet_pool.dropped;
@@ -742,133 +730,75 @@ let hotpath_benchmark () =
       }
     in
     Scenario.quiesce scn;
-    Scheduler.defunctionalized := true;
-    Scheduler.wheel_enabled := true;
-    Scheduler.batched := true;
     r
   in
-  let run_config ~defunc ~wheel ~batch =
-    (* keep the last rep's counters (identical across reps — the runs are
-       deterministic) but the best wall time *)
-    let r = ref (run_once ~defunc ~wheel ~batch) in
-    for _ = 2 to reps do
-      let next = run_once ~defunc ~wheel ~batch in
-      r := { next with hp_wall = Float.min next.hp_wall !r.hp_wall }
-    done;
-    !r
-  in
-  let config_json r =
-    let events = float_of_int r.hp_events in
-    let scheduled = r.hp_wheel_scheduled + r.hp_heap_scheduled in
-    let acquires = r.hp_pool_hits + r.hp_pool_misses in
-    Analysis.Json_out.Obj
-      [
-        ("wall_time_sec", Float r.hp_wall);
-        ("events_fired", Int r.hp_events);
-        ( "events_per_sec",
-          Float (if r.hp_wall > 0.0 then events /. r.hp_wall else nan) );
-        ("minor_words", Float r.hp_minor_words);
-        ( "minor_words_per_event",
-          Float (if r.hp_events > 0 then r.hp_minor_words /. events else nan) );
-        ("promoted_words", Float r.hp_promoted_words);
-        ("major_words", Float r.hp_major_words);
-        ("wheel_scheduled", Int r.hp_wheel_scheduled);
-        ("heap_scheduled", Int r.hp_heap_scheduled);
-        ( "wheel_fraction",
-          Float
-            (if scheduled > 0 then
-               float_of_int r.hp_wheel_scheduled /. float_of_int scheduled
-             else 0.0) );
-        ("compactions", Int r.hp_compactions);
-        ("batches_dispatched", Int r.hp_batches);
-        ("batched_events", Int r.hp_batched_events);
-        ("pool_hits", Int r.hp_pool_hits);
-        ("pool_misses", Int r.hp_pool_misses);
-        ("pool_dropped", Int r.hp_pool_dropped);
-        ( "pool_hit_rate",
-          Float
-            (if acquires > 0 then
-               float_of_int r.hp_pool_hits /. float_of_int acquires
-             else nan) );
-        ("flows_tracked", Int r.hp_flows_tracked);
-      ]
-  in
   Format.printf
-    "== hot-path A/B/C (websearch/clove-ecn, load %.1f, %d jobs/conn, best of \
-     %d) ==@."
+    "== hot path (websearch/clove-ecn, load %.1f, %d jobs/conn, best of %d) ==@."
     load jobs reps;
-  let base = run_config ~defunc:false ~wheel:false ~batch:false in
-  let mid = run_config ~defunc:true ~wheel:true ~batch:false in
-  let full = run_config ~defunc:true ~wheel:true ~batch:true in
-  let identical =
-    String.equal base.hp_dump mid.hp_dump && String.equal mid.hp_dump full.hp_dump
+  let runs = List.init reps (fun _ -> run_once ()) in
+  let first = List.hd runs and last = List.nth runs (reps - 1) in
+  let identical = List.for_all (fun r -> String.equal r.hp_dump first.hp_dump) runs in
+  (* the last rep's counters (it runs on a warm packet pool) with the best
+     wall time *)
+  let best_wall = List.fold_left (fun w r -> Float.min w r.hp_wall) infinity runs in
+  let r = { last with hp_wall = best_wall } in
+  let events = float_of_int r.hp_events in
+  let per_event = if r.hp_events > 0 then r.hp_minor_words /. events else nan in
+  let eps = if r.hp_wall > 0.0 then events /. r.hp_wall else nan in
+  let wheel_fraction =
+    let scheduled = r.hp_wheel_scheduled + r.hp_heap_scheduled in
+    if scheduled > 0 then float_of_int r.hp_wheel_scheduled /. float_of_int scheduled
+    else 0.0
   in
-  let per_event r =
-    if r.hp_events > 0 then r.hp_minor_words /. float_of_int r.hp_events else nan
-  in
-  let eps r =
-    if r.hp_wall > 0.0 then float_of_int r.hp_events /. r.hp_wall else nan
+  let pool_hit_rate =
+    let acquires = r.hp_pool_hits + r.hp_pool_misses in
+    if acquires > 0 then float_of_int r.hp_pool_hits /. float_of_int acquires else nan
   in
   let record =
     Analysis.Json_out.Obj
       [
-        ("scenario", String "hotpath-ab");
+        ("scenario", String "hotpath");
         ("scheme", String "clove-ecn");
         ("load", Float load);
         ("jobs_per_conn", Int jobs);
         ("seed", Int seed);
         ("reps", Int reps);
         ("failure_recovery", Bool true);
-        ("baseline", config_json base);
-        ("pr5_path", config_json mid);
-        ("round2", config_json full);
-        ( "trajectory",
-          Analysis.Json_out.Obj
-            [
-              ("baseline_events_per_sec", Float (eps base));
-              ("pr5_path_events_per_sec", Float (eps mid));
-              ("round2_events_per_sec", Float (eps full));
-              ("round2_vs_baseline", Float (eps full /. eps base));
-              ("round2_vs_pr5_path", Float (eps full /. eps mid));
-              ("baseline_minor_words_per_event", Float (per_event base));
-              ("pr5_path_minor_words_per_event", Float (per_event mid));
-              ("round2_minor_words_per_event", Float (per_event full));
-            ] );
+        ("wall_time_sec", Float r.hp_wall);
+        ("events_fired", Int r.hp_events);
+        ("events_per_sec", Float eps);
+        ("minor_words", Float r.hp_minor_words);
+        ("minor_words_per_event", Float per_event);
         ("minor_words_budget_per_event", Float minor_words_budget);
-        ( "minor_words_per_event_ratio",
-          Float (per_event full /. per_event base) );
+        ("promoted_words", Float r.hp_promoted_words);
+        ("major_words", Float r.hp_major_words);
+        ("wheel_scheduled", Int r.hp_wheel_scheduled);
+        ("heap_scheduled", Int r.hp_heap_scheduled);
+        ("wheel_fraction", Float wheel_fraction);
+        ("compactions", Int r.hp_compactions);
+        ("pool_hits", Int r.hp_pool_hits);
+        ("pool_misses", Int r.hp_pool_misses);
+        ("pool_dropped", Int r.hp_pool_dropped);
+        ("pool_hit_rate", Float pool_hit_rate);
+        ("flows_tracked", Int r.hp_flows_tracked);
         ("deterministic", Bool identical);
       ]
   in
   let path = Filename.concat "results" "BENCH_hotpath.json" in
   Analysis.Json_out.to_file path record;
-  let line label r =
-    Format.printf
-      "  %-28s %8.2fs wall  %9.0f events/s  %6.1f minor words/event@." label
-      r.hp_wall (eps r) (per_event r)
-  in
-  line "baseline  (heap+closures)" base;
-  line "pr5 path  (wheel+tags)" mid;
-  line "round2    (wheel+tags+batch)" full;
   Format.printf
-    "  wheel share %.2f  batches %d  pool hit rate %.3f  flows tracked %d  \
-     identical %b  -> %s@.@."
-    (let s = full.hp_wheel_scheduled + full.hp_heap_scheduled in
-     if s > 0 then float_of_int full.hp_wheel_scheduled /. float_of_int s
-     else 0.0)
-    full.hp_batches
-    (let a = full.hp_pool_hits + full.hp_pool_misses in
-     if a > 0 then float_of_int full.hp_pool_hits /. float_of_int a else nan)
-    full.hp_flows_tracked identical path;
+    "  %.2fs wall  %.0f events/s  %.1f minor words/event@.  wheel share %.2f  \
+     pool hit rate %.3f  flows tracked %d  identical %b  -> %s@.@."
+    r.hp_wall eps per_event wheel_fraction pool_hit_rate r.hp_flows_tracked
+    identical path;
   if not identical then begin
-    Format.eprintf
-      "hot-path benchmark: optimized runs diverged from closure baseline@.";
+    Format.eprintf "hot-path benchmark: reps produced different FCT records@.";
     exit 1
   end;
-  if per_event full > minor_words_budget then begin
+  if per_event > minor_words_budget then begin
     Format.eprintf
       "hot-path benchmark: %.2f minor words/event exceeds the %.1f budget@."
-      (per_event full) minor_words_budget;
+      per_event minor_words_budget;
     exit 1
   end
 

@@ -1,6 +1,6 @@
 (* Growable circular FIFO, padded with a caller-supplied dummy.
 
-   Backs the defunctionalized event path: a link's in-flight propagation
+   Backs the tagged event path: a link's in-flight propagation
    queue and a switch's pipeline both deliver strictly in FIFO order
    (constant per-hop delay), so the packet a tagged event refers to is
    always the oldest queued one — no per-event closure capture needed.

@@ -1,6 +1,6 @@
 (** Growable circular FIFO padded with a caller-supplied dummy.
 
-    Companion to the defunctionalized event path: when deliveries are
+    Companion to the tagged event path: when deliveries are
     strictly FIFO (constant per-hop delay), the payload a tagged event
     refers to is always the oldest queued element, so events need not
     capture it in a closure.  [push]/[pop] are allocation-free at steady

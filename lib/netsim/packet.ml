@@ -169,7 +169,7 @@ let install_encap t ~src_hv ~dst_hv ~src_port ~feedback ~cell =
   e.cell <- cell;
   t.encap <- t.cached_encap_some
 
-(* pads rings and in-flight slots on the defunctionalized event path;
+(* pads rings and in-flight slots on the tagged event path;
    built without [fresh_uid] so padding never perturbs the uid stream *)
 let placeholder =
   let a = Addr.of_int 0 in

@@ -149,7 +149,7 @@ val make : ?ttl:int -> size:int -> payload -> t
 
 val placeholder : t
 (** Inert padding packet (uid [-1]) for rings and in-flight slots on the
-    defunctionalized event path.  Never transmitted; constructed without
+    tagged event path.  Never transmitted; constructed without
     consuming a uid so padding does not perturb the uid stream. *)
 
 val make_tenant :

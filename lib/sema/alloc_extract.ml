@@ -3,7 +3,7 @@
 
    The hot region replaces sema-hotpath-alloc's hand-maintained module
    whitelist: it is everything *reachable* in the whole-library call
-   graph from the scheduler dispatch roots — the defunctionalized kind
+   graph from the scheduler dispatch roots — the tagged kind
    handlers registered with [Scheduler.register_kind] (collected per
    registration site by [Race_extract]) plus the named per-event entry
    points of the packet path (timer-wheel flush, link/switch/vswitch
@@ -149,19 +149,14 @@ type span = {
 }
 
 let deref_gate (e : Typedtree.expression) =
-  (* [!Scheduler.defunctionalized] and friends; which branch is cold:
-     [`Else] when true selects the hot path, [`Then] when true selects
-     the audited path *)
+  (* [!Audit.on]: the branch taken when it is true is the audited,
+     cold path *)
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply
       ( { exp_desc = Typedtree.Texp_ident (op, _, _); _ },
         [ (Asttypes.Nolabel, Some { exp_desc = Typedtree.Texp_ident (p, _, _); _ }) ] )
     when Race_extract.suffix2 op = Some ("Stdlib", "!") -> (
     match Race_extract.suffix2 p with
-    | Some ("Scheduler", "defunctionalized") ->
-      Some (`Else, "A/B baseline branch (!Scheduler.defunctionalized)")
-    | Some ("Scheduler", "wheel_enabled") ->
-      Some (`Else, "A/B baseline branch (!Scheduler.wheel_enabled)")
     | Some ("Audit", "on") -> Some (`Then, "audited-run branch (!Audit.on)")
     | _ -> None)
   | _ -> None

@@ -49,9 +49,7 @@ type span = {
 }
 
 val cold_spans : Cmt_load.unit_info list -> span list
-(** Line spans off the steady-state path: the branch of an
-    [if !Scheduler.defunctionalized] / [!Timer_wheel.wheel_enabled]
-    A/B gate that selects the baseline, branches under [!Audit.on],
+(** Line spans off the steady-state path: branches under [!Audit.on],
     branches calling [Audit.note_*]/[record_violation], and branches
     that always raise. *)
 

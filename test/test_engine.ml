@@ -321,68 +321,27 @@ let prop_wheel_matches_heap =
           wheel_run_order ~wheel:true delays
           = wheel_run_order ~wheel:false delays))
 
-(* Dispatch one tagged workload with batching on and off: the observable
-   fire order (kind, arg, clock) must be identical, because coalescing
-   only joins events already adjacent under the (time, born, src, seq)
-   total order.  Handlers occasionally schedule a same-instant follow-up
-   to exercise the born-at-the-batch-instant path (it must sort after
-   the whole run in both modes). *)
-let batch_run_order ~batch events =
-  let saved = !Scheduler.batched in
-  Scheduler.batched := batch;
+(* Same-instant tagged events rank by (born, src, seq): kinds rank by
+   registration order, one kind's events fire in schedule order, and a
+   follow-up scheduled at the firing instant is born later, so it sorts
+   after everything already pending at that instant. *)
+let test_tagged_same_instant_order () =
   let s = Scheduler.create () in
-  Scheduler.batched := saved;
   let log = ref [] in
-  let kind_b_cell = ref (-1) in
-  let note name arg =
-    log := (name, arg, Sim_time.to_ns (Scheduler.now s)) :: !log;
-    if name = 0 && arg mod 5 = 0 then
-      Scheduler.schedule_tag s ~after:(Sim_time.ns 0) ~kind:!kind_b_cell
-        ~arg:(arg + 1001)
+  let kind_b = ref (-1) in
+  let kind_a =
+    Scheduler.register_kind s (fun arg ->
+        log := arg :: !log;
+        if arg = 0 then
+          Scheduler.schedule_tag s ~after:Sim_time.zero_span ~kind:!kind_b ~arg:100)
   in
-  let mk name =
-    Scheduler.register_kind_batch s
-      ~single:(fun arg -> note name arg)
-      ~batch:(fun args n ->
-        for i = 0 to n - 1 do
-          note name args.(i)
-        done)
-  in
-  let kind_a = mk 0 in
-  let kind_b = mk 1 in
-  kind_b_cell := kind_b;
-  List.iteri
-    (fun i (after, pick_a) ->
-      let kind = if pick_a then kind_a else kind_b in
-      Scheduler.schedule_tag s ~after:(Sim_time.ns after) ~kind ~arg:i)
-    events;
+  kind_b := Scheduler.register_kind s (fun arg -> log := arg :: !log);
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 500) ~kind:!kind_b ~arg:1;
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 500) ~kind:kind_a ~arg:0;
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 500) ~kind:kind_a ~arg:2;
   Scheduler.run s;
-  (List.rev !log, Scheduler.batches_dispatched s, Scheduler.batched_events s)
-
-let prop_batch_matches_singleton =
-  (* delays are drawn from a tiny range so many events share an exact
-     nanosecond — the coalescing case — while others collide only in
-     part or not at all *)
-  QCheck.Test.make
-    ~name:"batched dispatch order identical to singleton dispatch" ~count:300
-    QCheck.(small_list (pair (int_bound 40) bool))
-    (fun events ->
-      let batched, _, _ = batch_run_order ~batch:true events in
-      let singleton, _, _ = batch_run_order ~batch:false events in
-      batched = singleton)
-
-let test_batch_coalesces_same_instant_run () =
-  (* n same-kind events at one instant, all born at time 0: the batched
-     scheduler must deliver them as a single coalesced run *)
-  let n = 32 in
-  let events = List.init n (fun _ -> (500, true)) in
-  let order_b, batches, batched_events = batch_run_order ~batch:true events in
-  let order_s, batches_s, _ = batch_run_order ~batch:false events in
-  check_bool "orders agree" true (order_b = order_s);
-  check_bool "run coalesced" true (batches >= 1);
-  (* the kind-a run itself: 32 events at one instant and one kind *)
-  check_bool "all kind-a events rode batches" true (batched_events >= n);
-  check_int "singleton mode never batches" 0 batches_s
+  Alcotest.(check (list int)) "fire order" [ 0; 2; 1; 100 ] (List.rev !log);
+  check_int "clock at the instant" 500 (Sim_time.to_ns (Scheduler.now s))
 
 (* TCP-RTO shaped churn: every tick cancels the previous timer and arms
    a fresh one, so nearly every scheduled event dies unfired.  The lazy
@@ -521,9 +480,8 @@ let () =
           Alcotest.test_case "RTO churn keeps dead fraction bounded" `Quick
             test_sched_cancel_compaction;
           qc prop_wheel_matches_heap;
-          qc prop_batch_matches_singleton;
-          Alcotest.test_case "same-instant run coalesces" `Quick
-            test_batch_coalesces_same_instant_run;
+          Alcotest.test_case "tagged same-instant order" `Quick
+            test_tagged_same_instant_order;
         ] );
       ( "int_table",
         [

@@ -108,6 +108,92 @@ let test_clos3_caft_sharded_digest () =
   check_string "shard 2 = serial" serial (run 2);
   check_string "shard 4 = serial" serial (run 4)
 
+(* ------------------- golden digests (pinned) ----------------------- *)
+
+(* Every other determinism check here compares one run against another
+   run of the same build.  These compare against MD5s pinned in the
+   file, so a change to the engine that shifts any event's order shows
+   up even when it shifts every run the same way.  A deliberate
+   behaviour change must update the pins and say why. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* The [bench --hotpath] quick config: asymmetric 2-tier, Clove-ECN,
+   failure recovery on, seed 1, load 0.6, 20 jobs/conn, legacy serial
+   drive ([shards = 0]). *)
+let test_golden_hotpath_digest () =
+  let params =
+    {
+      Scenario.default_params with
+      Scenario.asymmetric = true;
+      failure_recovery = true;
+      seed = 1;
+    }
+  in
+  let dump =
+    run_once ~shards:0 ~scheme:Scenario.S_clove_ecn ~params ~load:0.6
+      ~jobs_per_conn:20
+  in
+  check_string "hotpath FCT digest" "e12d0a9f43f2b33543ec3366cea923a7" (md5 dump)
+
+(* A small 3-tier Clos under the core-brownout preset at 2 PDES shards:
+   pins the boundary-injection path and the fault engine together. *)
+let test_golden_clos3_brownout_digest () =
+  let params =
+    {
+      Scenario.default_params with
+      Scenario.pods = 2;
+      hosts_per_leaf = 2;
+      failure_recovery = true;
+      seed = 1;
+    }
+  in
+  let plan =
+    match Chaos.preset_spec params "core-brownout" with
+    | Error e -> Alcotest.fail e
+    | Ok spec -> (
+      match Faults.Fault_plan.parse ~names:(Scenario.fault_names params) spec with
+      | Ok p -> p
+      | Error e -> Alcotest.fail e)
+  in
+  let scn = Scenario.build ~shards:2 ~scheme:Scenario.S_clove_ecn params in
+  let servers = Scenario.servers scn in
+  let conns =
+    Array.mapi
+      (fun i client -> Scenario.connect scn ~src:client ~dst:servers.(i))
+      (Scenario.clients scn)
+  in
+  let fabric = Scenario.fabric scn in
+  let engine =
+    Faults.Fault_engine.create ~sched:(Scenario.sched scn) ~fabric
+      ~vswitches:(Array.map (Scenario.vswitch scn) (Fabric.hosts fabric))
+      ~naming:(Scenario.fault_naming scn)
+      ~rng:(Rng.split_named (Scenario.rng scn) "faults")
+  in
+  (match Faults.Fault_engine.arm engine plan with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let cfg =
+    {
+      Workload.Websearch.load = 0.15;
+      bisection_bps = Scenario.bisection_bps scn;
+      jobs_per_conn = 120;
+      size_dist = Scenario.size_dist scn;
+      start_at = Scenario.warmup scn;
+    }
+  in
+  let fct = Scenario.run_websearch scn ~rng:(Scenario.rng scn) ~conns cfg in
+  let faults_fired = Faults.Fault_engine.events_fired engine in
+  Faults.Fault_engine.stop engine;
+  Scenario.quiesce scn;
+  check_bool "brownout fired" true (faults_fired > 0);
+  (* the preset strikes at 60ms; flows must still be arriving then *)
+  check_bool "traffic overlaps the brownout" true
+    (Workload.Fct_stats.count (Workload.Fct_stats.window ~from:0.060 ~until:1.0 fct)
+     > 0);
+  check_string "clos3 brownout FCT digest" "008c859ff7e4488a94060e54ddc2bb4e"
+    (md5 (Workload.Fct_stats.canonical_dump fct))
+
 (* ------------------- window validation at plan time ----------------- *)
 
 let test_window_rejects_short_cross_link () =
@@ -172,6 +258,13 @@ let () =
             test_fallback_matches_legacy_records;
           Alcotest.test_case "3-tier CAFT digests shard-invariant" `Quick
             test_clos3_caft_sharded_digest;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "hotpath quick config digest" `Quick
+            test_golden_hotpath_digest;
+          Alcotest.test_case "3-tier core brownout at 2 shards digest" `Quick
+            test_golden_clos3_brownout_digest;
         ] );
       ( "partition",
         [

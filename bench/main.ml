@@ -651,7 +651,7 @@ type hotpath_run = {
    runs — so unlike events/s this gate cannot be loosened by a noisy
    CI box.  The trajectory that brought it under budget is in
    DESIGN.md §15. *)
-let minor_words_budget = 8.0
+let minor_words_budget = 3.0
 
 (* The flagship websearch scenario (failure recovery on, so the
    maintain tick and idle flowlet eviction run), driven [reps] times

@@ -35,9 +35,9 @@ let touch t ~key ~pick =
     e.decision
   end
 
-let active_flowlet t ~key =
-  let e = Int_table.find_default t.table key t.absent in
-  if e == t.absent then None else Some e.decision
+(* the absent entry's decision is the table's [dummy]: an untracked flow
+   reads as the sentinel, with no option box per inbound ACK *)
+let active_flowlet t ~key = (Int_table.find_default t.table key t.absent).decision
 
 let flowlets_started t = t.started
 let flows_tracked t = Int_table.length t.table
@@ -52,4 +52,4 @@ let expire_older_than t age =
       (fun key e acc -> if Sim_time.(now >= add e.last_seen age) then key :: acc else acc)
       t.table []
   in
-  List.iter (Int_table.remove t.table) stale
+  match stale with [] -> () | _ -> List.iter (Int_table.remove t.table) stale

@@ -18,8 +18,9 @@ val touch : 'd t -> key:int -> pick:(flowlet_id:int -> 'd) -> 'd
     new flowlet starts (first packet of the flow, or idle gap elapsed).
     [flowlet_id] counts flowlets of this flow from 0. *)
 
-val active_flowlet : 'd t -> key:int -> 'd option
-(** Current decision without refreshing the timestamp. *)
+val active_flowlet : 'd t -> key:int -> 'd
+(** Current decision without refreshing the timestamp, or the table's
+    [dummy] when the flow is not tracked. *)
 
 val flowlets_started : 'd t -> int
 (** Total new-flowlet events, across all flows. *)

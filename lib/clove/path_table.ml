@@ -15,6 +15,7 @@ type t = {
   mutable last_alive : Sim_time.t array; (* last proof the path still works *)
   mutable verified_at : Sim_time.t; (* last traceroute (re)install *)
   mutable port_index : int Int_table.t; (* port -> array index *)
+  mutable flags : bool array; (* per-path scratch for the weight updates *)
 }
 
 let create ~sched ~cfg =
@@ -34,6 +35,7 @@ let create ~sched ~cfg =
     last_alive = [||];
     verified_at = Sim_time.zero;
     port_index = Int_table.create ~capacity:8 ~dummy:(-1) ();
+    flags = [||];
   }
 
 let clear t =
@@ -48,6 +50,7 @@ let clear t =
   t.ever_congested <- [||];
   t.last_tx <- [||];
   t.last_alive <- [||];
+  t.flags <- [||];
   Int_table.clear t.port_index
 
 let install t pairs =
@@ -109,6 +112,7 @@ let install t pairs =
     t.ever_congested <- ever;
     t.last_tx <- last_tx;
     t.last_alive <- last_alive;
+    t.flags <- Array.make n false;
     (* an install only happens when probes completed the round trip, so it
        vouches for every path in the new set *)
     t.verified_at <- Scheduler.now t.sched;
@@ -203,10 +207,12 @@ let is_congested t i =
   t.ever_congested.(i)
   && Sim_time.(now < add t.last_congested.(i) t.cfg.Clove_config.congested_window)
 
+(* Runs per congestion feedback, so it allocates nothing: the targets
+   are flagged in the per-table scratch array and the weight arithmetic
+   happens inside one [Wrr.shift] call. *)
 let note_congested t ~port =
-  match Int_table.find_opt t.port_index port with
-  | None -> ()
-  | Some i -> (
+  let i = Int_table.find_default t.port_index port (-1) in
+  if i >= 0 then
     match t.wrr with
     | None -> ()
     | Some w ->
@@ -214,31 +220,25 @@ let note_congested t ~port =
       t.ever_congested.(i) <- true;
       (* congestion feedback proves the path still carries packets *)
       t.last_alive.(i) <- Scheduler.now t.sched;
-      let n = Array.length t.ports in
-      let wi = Wrr.weight w i in
-      let cut = wi *. t.cfg.Clove_config.weight_cut in
-      let remaining = Float.max t.cfg.Clove_config.min_weight (wi -. cut) in
-      let cut = wi -. remaining in
       (* spread the removed weight equally across uncongested paths; if all
-         others are congested too, spread over everyone else *)
-      let uncongested = ref [] in
+         others are congested too, spread over everyone else; a single
+         path has nothing to shift to *)
+      let n = Array.length t.ports in
+      let any = ref false in
       for j = 0 to n - 1 do
-        if j <> i && not (is_congested t j) then uncongested := j :: !uncongested
+        let u = j <> i && not (is_congested t j) in
+        t.flags.(j) <- u;
+        if u then any := true
       done;
-      let targets =
-        if !uncongested <> [] then !uncongested
-        else List.init n (fun j -> j) |> List.filter (fun j -> j <> i)
-      in
-      (match targets with
-      | [] -> () (* single path: nothing to shift to *)
-      | _ ->
-        Wrr.set_weight w i remaining;
-        let share = cut /. float_of_int (List.length targets) in
-        List.iter (fun j -> Wrr.set_weight w j (Wrr.weight w j +. share)) targets);
-      Wrr.normalize w;
+      if not !any then
+        for j = 0 to n - 1 do
+          t.flags.(j) <- j <> i
+        done;
+      Wrr.shift w i ~cut_frac:t.cfg.Clove_config.weight_cut
+        ~floor:t.cfg.Clove_config.min_weight ~targets:t.flags;
       if !Analysis.Audit.on then
         Analysis.Audit.check_weight_sum ~label:"Path_table.note_congested"
-          (Wrr.weights w))
+          (Wrr.weights w)
 
 let note_util t ~port ~util =
   let i = Int_table.find_default t.port_index port (-1) in
@@ -268,12 +268,12 @@ let weights t = match t.wrr with Some w -> Wrr.weights w | None -> [||]
 let utilization t = Array.copy t.utils
 let latencies t = Array.map Sim_time.span_of_sec t.delays
 
-let all_congested t =
-  ready t
-  &&
-  let n = Array.length t.ports in
-  let rec go i = i >= n || (is_congested t i && go (i + 1)) in
-  go 0
+(* top-level recursion: [all_congested] runs per feedback and a local
+   loop function would be allocated per call *)
+let rec congested_from t i =
+  i >= Array.length t.ports || (is_congested t i && congested_from t (i + 1))
+
+let all_congested t = ready t && congested_from t 0
 
 let age_weights t =
   let a = t.cfg.Clove_config.weight_aging in
@@ -291,6 +291,14 @@ let age_weights t =
         Analysis.Audit.check_weight_sum ~label:"Path_table.age_weights"
           (Wrr.weights w)
 
+(* no congestion feedback for the recovery window *)
+let quiet t ~now i =
+  (not t.ever_congested.(i))
+  || Sim_time.(now >= add t.last_congested.(i) t.cfg.Clove_config.weight_recovery_quiet)
+
+(* Runs every maintenance tick for every path table; like
+   [note_congested] it flags paths in the scratch array and leaves the
+   float arithmetic to bulk [Wrr] calls, so it allocates nothing. *)
 let maintain t =
   if t.cfg.Clove_config.failure_recovery && ready t then
     match t.wrr with
@@ -298,48 +306,31 @@ let maintain t =
     | Some w ->
       let n = Array.length t.ports in
       let now = Scheduler.now t.sched in
+      let flags = t.flags in
       let any_suspect = ref false and all_suspect = ref true in
-      let sus =
-        Array.init n (fun i ->
-            let s = is_suspect t i in
-            if s then any_suspect := true else all_suspect := false;
-            s)
-      in
-      let uniform = 1.0 /. float_of_int n in
+      for i = 0 to n - 1 do
+        let s = is_suspect t i in
+        flags.(i) <- s;
+        if s then any_suspect := true else all_suspect := false
+      done;
       if !all_suspect then
         (* every path looks dead: there is no usable signal left to
            discriminate, so fall back to uniform spraying rather than
            decaying the weight sum toward zero (Wrr.normalize would
            refuse a zero total and the weight-sum audit would trip) *)
-        for i = 0 to n - 1 do
-          Wrr.set_weight w i uniform
-        done
+        Wrr.set_uniform w
       else begin
-        (if !any_suspect then
-           (* black-hole eviction: geometric decay drives a dead path's
-              share of the (renormalized) weight sum to zero *)
-           let keep = 1.0 -. t.cfg.Clove_config.suspect_decay in
-           for i = 0 to n - 1 do
-             if sus.(i) then Wrr.set_weight w i (Wrr.weight w i *. keep)
-           done);
-        (* recovery toward uniform: a path that has stayed quiet (no
-           congestion feedback for the recovery window) and is not suspect
-           regains weight it lost during a past hotspot or fault *)
-        let quiet i =
-          (not t.ever_congested.(i))
-          || Sim_time.(
-               now
-               >= add t.last_congested.(i)
-                    t.cfg.Clove_config.weight_recovery_quiet)
-        in
+        if !any_suspect then
+          (* black-hole eviction: geometric decay drives a dead path's
+             share of the (renormalized) weight sum to zero *)
+          Wrr.decay_flagged w ~flags ~decay:t.cfg.Clove_config.suspect_decay;
+        (* recovery toward uniform: a path that has stayed quiet and is
+           not suspect regains weight it lost during a past hotspot or
+           fault *)
         for i = 0 to n - 1 do
-          if (not sus.(i)) && quiet i then begin
-            let wi = Wrr.weight w i in
-            if wi < uniform then
-              Wrr.set_weight w i
-                (wi +. (t.cfg.Clove_config.weight_recovery_rate *. (uniform -. wi)))
-          end
-        done
+          flags.(i) <- (not flags.(i)) && quiet t ~now i
+        done;
+        Wrr.recover_flagged w ~flags ~rate:t.cfg.Clove_config.weight_recovery_rate
       end;
       Wrr.normalize w;
       if !Analysis.Audit.on then

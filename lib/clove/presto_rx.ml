@@ -1,7 +1,7 @@
 type flow_state = {
   mutable expected : int; (* next cell_seq to deliver *)
   buffer : (int, Packet.inner) Hashtbl.t;
-  mutable timer : Scheduler.handle option;
+  mutable timer : Scheduler.timer; (* reorder timeout, built once per flow *)
 }
 
 type t = {
@@ -20,21 +20,6 @@ let create ~sched ~cfg ~deliver =
 let buffered t = t.buffered
 let timeout_flushes t = t.flushes
 let reordered t = t.reordered
-
-let flow t key =
-  match Hashtbl.find_opt t.flows key with
-  | Some f -> f
-  | None ->
-    let f = { expected = 0; buffer = Hashtbl.create 16; timer = None } in
-    Hashtbl.replace t.flows key f;
-    f
-
-let cancel_timer t f =
-  match f.timer with
-  | Some h ->
-    Scheduler.cancel t.sched h;
-    f.timer <- None
-  | None -> ()
 
 let drain t f =
   (* deliver buffered packets contiguous with [expected] *)
@@ -65,19 +50,29 @@ let flush_all t f =
         t.deliver inner
       | None -> ())
     seqs;
-  cancel_timer t f
+  Scheduler.disarm f.timer
+
+let on_timeout t f =
+  if Hashtbl.length f.buffer > 0 then begin
+    t.flushes <- t.flushes + 1;
+    flush_all t f
+  end
+
+let flow t key =
+  match Hashtbl.find_opt t.flows key with
+  | Some f -> f
+  | None ->
+    let f =
+      { expected = 0; buffer = Hashtbl.create 16; timer = Scheduler.timer t.sched ignore }
+    in
+    (* alloc-allow: built once per flow, at its first cell *)
+    f.timer <- Scheduler.timer t.sched (fun () -> on_timeout t f);
+    Hashtbl.replace t.flows key f;
+    f
 
 let arm_timer t f =
-  if f.timer = None then
-    f.timer <-
-      Some
-        (Scheduler.schedule t.sched ~after:t.cfg.Clove_config.presto_reorder_timeout
-           (fun () ->
-             f.timer <- None;
-             if Hashtbl.length f.buffer > 0 then begin
-               t.flushes <- t.flushes + 1;
-               flush_all t f
-             end))
+  if not (Scheduler.armed f.timer) then
+    Scheduler.arm f.timer ~after:t.cfg.Clove_config.presto_reorder_timeout
 
 let on_packet t inner ~cell =
   let f = flow t cell.Packet.flow_key in
@@ -87,7 +82,7 @@ let on_packet t inner ~cell =
     f.expected <- f.expected + 1;
     t.deliver inner;
     drain t f;
-    if Hashtbl.length f.buffer = 0 then cancel_timer t f
+    if Hashtbl.length f.buffer = 0 then Scheduler.disarm f.timer
   end
   else begin
     t.reordered <- t.reordered + 1;

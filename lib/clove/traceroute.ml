@@ -143,15 +143,10 @@ let rec run_cycle t ~key st =
           send_probe t st ~key ~port ~ttl
         done)
       ports;
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_timeout (fun () ->
-          if not t.stopped then finalize_cycle t st)
-    in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_interval (fun () ->
-          run_cycle t ~key st)
-    in
-    ()
+    Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_timeout (fun () ->
+        if not t.stopped then finalize_cycle t st);
+    Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_interval (fun () ->
+        run_cycle t ~key st)
   end
 
 let add_destination t dst =
@@ -177,10 +172,7 @@ let add_destination t dst =
     let jitter =
       Sim_time.mul_span t.cfg.Clove_config.probe_timeout (Rng.float st.rng 0.5)
     in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:jitter (fun () -> run_cycle t ~key st)
-    in
-    ()
+    Scheduler.schedule t.sched ~after:jitter (fun () -> run_cycle t ~key st)
   end
 
 let on_reply t (reply : Packet.probe_reply) =

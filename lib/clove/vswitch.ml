@@ -45,8 +45,10 @@ type stats = {
 (* receiver-side relay state about one remote (sending) hypervisor *)
 type peer_rx_state = {
   fb_queue : Packet.clove_feedback Queue.t;
-  last_relay : Sim_time.t Int_table.t; (* port -> last relay time *)
-  mutable fb_timer : Scheduler.handle option;
+  (* port -> earliest instant the next relay may go; the dummy (the
+     epoch) lets a never-relayed port through *)
+  next_relay : Sim_time.t Int_table.t;
+  mutable fb_timer : Scheduler.timer; (* carrier deadline, built once per peer *)
 }
 
 (* Presto per-flow spraying state *)
@@ -144,24 +146,14 @@ let add_destination t dst =
     | None -> ()
   end
 
-let peer_state t hv =
-  let key = Addr.to_int hv in
-  let p = Int_table.find_default t.peers key t.no_peer in
-  if p != t.no_peer then p
-  else begin
-    let p =
-      {
-        fb_queue = Queue.create ();
-        last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
-        fb_timer = None;
-      }
-    in
-    Int_table.set t.peers key p;
-    p
-  end
-
 let hashed_port key = 49152 + (Ecmp_hash.hash4 ~seed:0x5107 key 0 0 0 mod 16384)
 let random_port t = 49152 + Rng.int t.rng 16384
+
+(* [pop_feedback]'s "nothing queued" sentinel, compared physically *)
+let no_feedback = Packet.Fb_ecn { port = -1; congested = false }
+
+(* [Flowlet.active_flowlet]'s dummy decision: no outer port is 0 *)
+let no_port = 0
 
 (* --------------- feedback relay (receiver side) ------------------- *)
 
@@ -191,48 +183,63 @@ let send_feedback_carrier t ~to_hv fb =
   t.s_carrier <- t.s_carrier + 1;
   Host.send t.host pkt
 
-let rec arm_fb_timer t ~hv peer =
-  if peer.fb_timer = None then
-    peer.fb_timer <-
-      Some
-        (Scheduler.schedule t.sched ~after:t.cfg.Clove_config.feedback_deadline (fun () ->
-             peer.fb_timer <- None;
-             match Queue.take_opt peer.fb_queue with
-             | None -> ()
-             | Some fb ->
-               send_feedback_carrier t ~to_hv:hv fb;
-               if not (Queue.is_empty peer.fb_queue) then arm_fb_timer t ~hv peer))
+let arm_fb_timer t peer =
+  if not (Scheduler.armed peer.fb_timer) then
+    Scheduler.arm peer.fb_timer ~after:t.cfg.Clove_config.feedback_deadline
 
-let enqueue_feedback t ~from_hv fb ~port =
+(* the deadline passed with feedback still queued and no reverse packet
+   to carry it: send one carrier, and keep the deadline running while
+   more remains *)
+let on_fb_deadline t ~hv peer =
+  if not (Queue.is_empty peer.fb_queue) then begin
+    send_feedback_carrier t ~to_hv:hv (Queue.take peer.fb_queue);
+    if not (Queue.is_empty peer.fb_queue) then arm_fb_timer t peer
+  end
+
+let peer_state t hv =
+  let key = Addr.to_int hv in
+  let p = Int_table.find_default t.peers key t.no_peer in
+  if p != t.no_peer then p
+  else begin
+    let p =
+      {
+        fb_queue = Queue.create ();
+        next_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
+        fb_timer = Scheduler.timer t.sched ignore;
+      }
+    in
+    (* alloc-allow: built once per peer hypervisor, at first contact *)
+    p.fb_timer <- Scheduler.timer t.sched (fun () -> on_fb_deadline t ~hv p);
+    Int_table.set t.peers key p;
+    p
+  end
+
+(* The per-port relay rate limit, decided before any feedback record is
+   built: runs per marked packet, and most marks inside the relay
+   interval are suppressed.  Returns the peer whose queue the feedback
+   joins, or [t.no_peer] when it is suppressed. *)
+let relay_peer t ~from_hv ~port =
   let peer = peer_state t from_hv in
   let now = Scheduler.now t.sched in
-  let allowed =
-    (* [find_opt] keeps the "never relayed" case distinct from a relay at
-       t = 0; this runs per marked packet, not per packet *)
-    match Int_table.find_opt peer.last_relay port with
-    | None -> true
-    | Some last -> Sim_time.(now >= add last t.cfg.Clove_config.ecn_relay_interval)
-  in
-  if allowed then begin
-    Int_table.set peer.last_relay port now;
-    Queue.add fb peer.fb_queue;
-    arm_fb_timer t ~hv:from_hv peer
+  if Sim_time.(now >= Int_table.find_default peer.next_relay port zero) then begin
+    Int_table.set peer.next_relay port
+      (Sim_time.add now t.cfg.Clove_config.ecn_relay_interval);
+    peer
   end
+  else t.no_peer
+
+let enqueue_feedback t peer fb =
+  Queue.add fb peer.fb_queue;
+  arm_fb_timer t peer
 
 let pop_feedback t ~to_hv =
   let peer = Int_table.find_default t.peers (Addr.to_int to_hv) t.no_peer in
-  if peer == t.no_peer then None
-  else (
-    match Queue.take_opt peer.fb_queue with
-    | Some fb ->
-      if Queue.is_empty peer.fb_queue then (
-        match peer.fb_timer with
-        | Some h ->
-          Scheduler.cancel t.sched h;
-          peer.fb_timer <- None
-        | None -> ());
-      Some fb
-    | None -> None)
+  if Queue.is_empty peer.fb_queue then no_feedback
+  else begin
+    let fb = Queue.take peer.fb_queue in
+    if Queue.is_empty peer.fb_queue then Scheduler.disarm peer.fb_timer;
+    fb
+  end
 
 (* --------------- feedback application (source side) --------------- *)
 
@@ -382,11 +389,17 @@ let tx t pkt =
         | None -> None
       in
       let fb = pop_feedback t ~to_hv:dst in
-      if fb <> None then t.s_piggy <- t.s_piggy + 1;
+      let feedback =
+        if fb == no_feedback then None
+        else begin
+          t.s_piggy <- t.s_piggy + 1;
+          Some fb
+        end
+      in
       (* rewrite the packet's pre-boxed header in place: the steady-state
          encapsulation allocates nothing *)
       Packet.install_encap pkt ~src_hv:(Host.addr t.host) ~dst_hv:dst
-        ~src_port:port ~feedback:fb ~cell;
+        ~src_port:port ~feedback ~cell;
       pkt.Packet.size <- wire_size;
       (* arm the black-hole detector: the path carrying this packet owes
          us liveness evidence (feedback or an ACK) within the timeout *)
@@ -427,38 +440,41 @@ let rx_tenant t pkt (inner : Packet.inner) =
            Int_table.find_default t.tables (Addr.to_int inner.Packet.src)
              t.no_table
          in
-         if tbl != t.no_table then (
-           match
-             Flowlet.active_flowlet t.flowlets
-               ~key:(Packet.tcp_flow_key_rev inner)
-           with
-           | Some port -> Path_table.note_alive tbl ~port
-           | None -> ())
+         if tbl != t.no_table then begin
+           let port =
+             Flowlet.active_flowlet t.flowlets ~key:(Packet.tcp_flow_key_rev inner)
+           in
+           if port <> no_port then Path_table.note_alive tbl ~port
+         end
        | Ecmp | Edge_flowlet | Presto | Direct -> ());
     (* source-side: apply feedback the peer piggybacked for us *)
     (match e.Packet.feedback with
     | Some fb -> apply_feedback t ~peer_hv:e.Packet.src_hv fb
     | None -> ());
     (* receiver-side: observe fabric congestion state for the sender *)
-    (match t.scheme with
-    | Clove_ecn ->
-      if pkt.Packet.ecn = Packet.Ce then
-        enqueue_feedback t ~from_hv:e.Packet.src_hv
-          (Packet.Fb_ecn { port = e.Packet.src_port; congested = true })
-          ~port:e.Packet.src_port
-    | Clove_int ->
-      if pkt.Packet.int_enabled then
-        enqueue_feedback t ~from_hv:e.Packet.src_hv
-          (Packet.Fb_util { port = e.Packet.src_port; util = pkt.Packet.int_util })
-          ~port:e.Packet.src_port
-    | Clove_latency ->
-      (* NIC timestamping + synchronized clocks: one-way delay is simply
-         receive time minus the sender's transmit stamp *)
-      let delay = Sim_time.diff (Scheduler.now t.sched) pkt.Packet.sent_at in
-      enqueue_feedback t ~from_hv:e.Packet.src_hv
-        (Packet.Fb_latency { port = e.Packet.src_port; delay })
-        ~port:e.Packet.src_port
-    | Ecmp | Edge_flowlet | Presto | Direct -> ());
+    (let port = e.Packet.src_port in
+     match t.scheme with
+     | Clove_ecn ->
+       if pkt.Packet.ecn = Packet.Ce then begin
+         let peer = relay_peer t ~from_hv:e.Packet.src_hv ~port in
+         if peer != t.no_peer then
+           enqueue_feedback t peer (Packet.Fb_ecn { port; congested = true })
+       end
+     | Clove_int ->
+       if pkt.Packet.int_enabled then begin
+         let peer = relay_peer t ~from_hv:e.Packet.src_hv ~port in
+         if peer != t.no_peer then
+           enqueue_feedback t peer (Packet.Fb_util { port; util = pkt.Packet.int_util })
+       end
+     | Clove_latency ->
+       let peer = relay_peer t ~from_hv:e.Packet.src_hv ~port in
+       if peer != t.no_peer then begin
+         (* NIC timestamping + synchronized clocks: one-way delay is simply
+            receive time minus the sender's transmit stamp *)
+         let delay = Sim_time.diff (Scheduler.now t.sched) pkt.Packet.sent_at in
+         enqueue_feedback t peer (Packet.Fb_latency { port; delay })
+       end
+     | Ecmp | Edge_flowlet | Presto | Direct -> ());
     (* decapsulate; the guest never sees outer ECN marks unless the
        operator runs DCTCP guests and asked for them *)
     if t.cfg.Clove_config.expose_ecn_to_guest && pkt.Packet.ecn = Packet.Ce then
@@ -511,8 +527,8 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
   let no_peer =
     {
       fb_queue = Queue.create ();
-      last_relay = Int_table.create ~capacity:2 ~dummy:Sim_time.zero ();
-      fb_timer = None;
+      next_relay = Int_table.create ~capacity:2 ~dummy:Sim_time.zero ();
+      fb_timer = Scheduler.timer sched ignore;
     }
   in
   let no_presto_flow =
@@ -593,7 +609,10 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
     if cfg.Clove_config.failure_recovery then begin
       let rec tick () =
         if not t.stopped then begin
-          Int_table.iter_sorted (fun _ tbl -> Path_table.maintain tbl) t.tables;
+          (* slot order, not sorted: each table's maintenance touches only
+             that table, so the order is unobservable, and sorting the
+             keys would allocate every tick *)
+          Int_table.iter (fun _ tbl -> Path_table.maintain tbl) t.tables;
           (* evict flows idle for far longer than the flowlet gap.  The
              32x margin keeps eviction observably invisible: the next
              packet of an evicted flow would have started a new flowlet
@@ -602,17 +621,10 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
              no longer carries usable liveness evidence *)
           Flowlet.expire_older_than t.flowlets
             (Sim_time.mul_span t.cfg.Clove_config.flowlet_gap 32.0);
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule t.sched
-              ~after:t.cfg.Clove_config.maintain_interval tick
-          in
-          ()
+          Scheduler.schedule t.sched ~after:t.cfg.Clove_config.maintain_interval tick
         end
       in
-      let (_ : Scheduler.handle) =
-        Scheduler.schedule sched ~after:cfg.Clove_config.maintain_interval tick
-      in
-      ()
+      Scheduler.schedule sched ~after:cfg.Clove_config.maintain_interval tick
     end
   end;
   Host.set_handler host (fun pkt -> rx t pkt);

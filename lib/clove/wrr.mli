@@ -26,3 +26,23 @@ val weights : t -> float array
 val size : t -> int
 val normalize : t -> unit
 (** Scale weights to sum to 1 (no effect on pick proportions). *)
+
+val set_uniform : t -> unit
+(** Every weight becomes [1 / size]. *)
+
+val decay_flagged : t -> flags:bool array -> decay:float -> unit
+(** Scale each flagged weight by [1 - decay]. *)
+
+val recover_flagged : t -> flags:bool array -> rate:float -> unit
+(** Move each flagged weight below [1 / size] the fraction [rate] of the
+    way back up to it.  Like {!shift}, these bulk updates exist so a
+    per-tick sweep makes one call, not a boxed float call per item; none
+    normalizes. *)
+
+val shift : t -> int -> cut_frac:float -> floor:float -> targets:bool array -> unit
+(** [shift t i ~cut_frac ~floor ~targets] cuts item [i]'s weight by the
+    fraction [cut_frac], never below [floor], spreads the removed weight
+    equally over the items flagged in [targets] (which must not flag
+    [i]), then {!normalize}s.  With no item flagged only the
+    normalization happens.  Allocation-free: a congestion update is one
+    call, not a cross-module float call per item. *)

@@ -47,7 +47,9 @@ val min_time_ns : 'a t -> int
 
 val compact : 'a t -> keep:('a -> bool) -> int
 (** Drop every entry whose payload fails [keep] and restore the heap in
-    place; returns the number dropped.  Pop order of surviving entries is
+    place; returns the number dropped.  [keep] is called once per entry,
+    and a rejected entry is never touched again, so [keep] may recycle
+    it.  Pop order of surviving entries is
     unchanged ((time, born, seq) is a total order). *)
 
 val peek_time : 'a t -> Sim_time.t option

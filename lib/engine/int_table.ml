@@ -125,12 +125,22 @@ let remove t key =
     t.vals.(!hole) <- t.dummy
   end
 
+(* plain loops rather than [Array.iteri] with a local closure: the
+   per-tick maintenance sweeps iterate once per call *)
 let iter f t =
-  Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
+  let keys = t.keys in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty_key then f k t.vals.(i)
+  done
 
 let fold f t init =
+  let keys = t.keys in
   let acc = ref init in
-  Array.iteri (fun i k -> if k <> empty_key then acc := f k t.vals.(i) !acc) t.keys;
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty_key then acc := f k t.vals.(i) !acc
+  done;
   !acc
 
 let sorted_keys t =

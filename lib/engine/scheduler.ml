@@ -15,15 +15,20 @@
 
    Steady-state events avoid closures entirely: a component registers a
    handler kind once at construction ([register_kind]) and then
-   schedules (kind, arg) pairs ([schedule_tag]) carried by pooled,
-   reusable handle records.  Pooled handles are fire-and-forget — never
-   exposed, never cancellable — so recycling them needs no generation
-   counters.  Cancellable or cold-path events keep the closure API.
+   schedules (kind, arg) pairs ([schedule_tag]).  Cancellable events are
+   owner-held re-armable {!timer}s whose thunk is built once.
 
-   Cancelled handles are purged lazily: the wheel drops them when their
-   slot flushes, the heap when they pop, and a compaction sweep runs
-   when dead handles outnumber live ones (a TCP sender re-arming its RTO
-   on every ack would otherwise grow the queue without bound). *)
+   Every queued event — tagged, closure or timer — is carried by a
+   handle record from the scheduler's pool, and no handle ever escapes
+   the scheduler: a fired handle returns to the pool at dispatch, a
+   cancelled one when it is purged (its wheel slot flushes, a compaction
+   sweeps it, or it pops dead).  A timer remembers the generation of the
+   handle it armed; recycling bumps the generation, so a stale [disarm]
+   is a no-op rather than a cancellation of some other event.
+
+   Cancelled handles are purged lazily, and a compaction sweep runs when
+   dead handles outnumber live ones (a TCP sender re-arming its RTO on
+   every ack would otherwise grow the queue without bound). *)
 
 (* Captured per-scheduler at [create].  Off, every event goes straight
    to the heap: the reference the wheel is property-tested against
@@ -32,11 +37,16 @@ let wheel_enabled = ref true
 
 type handle = {
   mutable live : bool;
-  mutable kind : int; (* -1 = closure event; >= 0 = dispatch-table index *)
+  mutable kind : int; (* -1 = closure or timer event; >= 0 = dispatch-table index *)
   mutable arg : int; (* operand for tagged events *)
-  src : int; (* closure events: owning component (tie-break rank) *)
+  mutable src : int; (* closure and timer events: owning component (tie-break rank) *)
   mutable thunk : unit -> unit;
+  mutable gen : int; (* bumped each time the handle returns to the pool *)
 }
+
+(* free handles, stack discipline; a record of its own so the purge
+   predicate handed to the wheel and heap can close over it *)
+type pool = { mutable free : handle array; mutable len : int }
 
 (* Component ids for the (time, born, src, seq) event order.  The
    counter is domain-local: one scenario is always constructed on a
@@ -64,8 +74,8 @@ type t = {
   mutable kind_srcs : int array; (* component id per registered kind *)
   mutable n_kinds : int;
   mutable cur_src : int; (* component id of the dispatching event; 0 at setup *)
-  mutable pool : handle array; (* free tagged handles, stack discipline *)
-  mutable pool_len : int;
+  pool : pool;
+  keep : handle -> bool; (* purge predicate; recycles what it rejects *)
   mutable wheel_scheduled : int;
   mutable heap_scheduled : int;
   mutable compactions : int;
@@ -80,17 +90,53 @@ let nop () = ()
 
 (* pads empty queue/wheel/pool slots; [live = false] so it is inert even
    if a bug ever dispatched it *)
-let dummy_handle = { live = false; kind = -1; arg = 0; src = 0; thunk = nop }
+let dummy_handle = { live = false; kind = -1; arg = 0; src = 0; thunk = nop; gen = 0 }
 
 let nop_handler (_ : int) = ()
 
+(* ---- handle pool ---- *)
+
+let alloc_handle pool =
+  if pool.len = 0 then { live = true; kind = -1; arg = 0; src = 0; thunk = nop; gen = 0 }
+  else begin
+    let n = pool.len - 1 in
+    pool.len <- n;
+    let h = pool.free.(n) in
+    pool.free.(n) <- dummy_handle;
+    h.live <- true;
+    h
+  end
+
+let release_handle pool h =
+  h.live <- false;
+  h.thunk <- nop;
+  h.gen <- h.gen + 1;
+  if pool.len = Array.length pool.free then begin
+    let free = Array.make (2 * pool.len) dummy_handle in
+    Array.blit pool.free 0 free 0 pool.len;
+    pool.free <- free
+  end;
+  pool.free.(pool.len) <- h;
+  pool.len <- pool.len + 1
+
+(* The wheel and the heap call their purge predicate exactly once on
+   each entry they judge and never touch a rejected entry again, so the
+   predicate itself hands a dead handle back to the pool. *)
+let reclaim pool h =
+  h.live
+  ||
+  (release_handle pool h;
+   false)
+
 let create () =
+  let pool = { free = Array.make 32 dummy_handle; len = 0 } in
+  let keep = reclaim pool in
   {
     id = 1 + Atomic.fetch_and_add next_id 1;
     clock = Sim_time.zero;
     fired = 0;
     queue = Event_queue.create ~dummy:dummy_handle ();
-    wheel = Timer_wheel.create ~dummy:dummy_handle ~keep:(fun h -> h.live) ();
+    wheel = Timer_wheel.create ~dummy:dummy_handle ~keep ();
     use_wheel = !wheel_enabled;
     next_seq = 0;
     dead = 0;
@@ -98,8 +144,8 @@ let create () =
     kind_srcs = Array.make 8 0;
     n_kinds = 0;
     cur_src = 0;
-    pool = Array.make 32 dummy_handle;
-    pool_len = 0;
+    pool;
+    keep;
     compactions = 0;
     wheel_scheduled = 0;
     heap_scheduled = 0;
@@ -130,30 +176,6 @@ let register_kind t f =
    default so all its events share one rank. *)
 let set_kind_src t ~kind ~src = t.kind_srcs.(kind) <- src
 
-(* ---- handle pool (tagged fire-and-forget events only) ---- *)
-
-let alloc_handle t ~kind ~arg =
-  if t.pool_len = 0 then { live = true; kind; arg; src = 0; thunk = nop }
-  else begin
-    let n = t.pool_len - 1 in
-    t.pool_len <- n;
-    let h = t.pool.(n) in
-    t.pool.(n) <- dummy_handle;
-    h.live <- true;
-    h.kind <- kind;
-    h.arg <- arg;
-    h
-  end
-
-let release_handle t h =
-  if t.pool_len = Array.length t.pool then begin
-    let pool = Array.make (2 * t.pool_len) dummy_handle in
-    Array.blit t.pool 0 pool 0 t.pool_len;
-    t.pool <- pool
-  end;
-  t.pool.(t.pool_len) <- h;
-  t.pool_len <- t.pool_len + 1
-
 (* ---- enqueue ---- *)
 
 let push_born t ~time_ns ~born_ns ~src h =
@@ -171,22 +193,35 @@ let push_born t ~time_ns ~born_ns ~src h =
 let push t ~time_ns ~src h =
   push_born t ~time_ns ~born_ns:(Sim_time.to_ns t.clock) ~src h
 
+(* closures and timers rank under the component whose handler is
+   executing: a component scheduling its own follow-ups *)
+let push_thunk t ~time_ns f =
+  let h = alloc_handle t.pool in
+  h.kind <- -1;
+  h.src <- t.cur_src;
+  h.thunk <- f;
+  push t ~time_ns ~src:t.cur_src h;
+  h
+
 let schedule_at t ~time f =
   if Sim_time.(time < t.clock) then
     invalid_arg "Scheduler.schedule_at: time in the past";
-  (* closures rank under the component whose handler scheduled them *)
-  let src = t.cur_src in
-  let h = { live = true; kind = -1; arg = 0; src; thunk = f } in
-  push t ~time_ns:(Sim_time.to_ns time) ~src h;
-  h
+  let (_ : handle) = push_thunk t ~time_ns:(Sim_time.to_ns time) f in
+  ()
 
 let schedule t ~after f = schedule_at t ~time:(Sim_time.add t.clock after) f
+
+let alloc_tagged t ~kind ~arg =
+  let h = alloc_handle t.pool in
+  h.kind <- kind;
+  h.arg <- arg;
+  h
 
 let schedule_tag t ~after ~kind ~arg =
   let time_ns = Sim_time.to_ns t.clock + Sim_time.span_ns after in
   if time_ns < Sim_time.to_ns t.clock then
     invalid_arg "Scheduler.schedule_tag: time in the past";
-  push t ~time_ns ~src:t.kind_srcs.(kind) (alloc_handle t ~kind ~arg)
+  push t ~time_ns ~src:t.kind_srcs.(kind) (alloc_tagged t ~kind ~arg)
 
 (* PDES boundary injection: a cross-shard event scheduled with the
    sending shard's insertion instant as its tie-break rank, so a
@@ -198,11 +233,9 @@ let inject_tag t ~time_ns ~born_ns ~kind ~arg =
   if time_ns < Sim_time.to_ns t.clock then
     invalid_arg "Scheduler.inject_tag: time in the past";
   if born_ns > time_ns then invalid_arg "Scheduler.inject_tag: born after fire";
-  push_born t ~time_ns ~born_ns ~src:t.kind_srcs.(kind) (alloc_handle t ~kind ~arg)
+  push_born t ~time_ns ~born_ns ~src:t.kind_srcs.(kind) (alloc_tagged t ~kind ~arg)
 
-(* ---- cancellation & compaction ---- *)
-
-let is_pending h = h.live
+(* ---- timers & compaction ---- *)
 
 (* Sweep dead handles out of both structures when they outnumber live
    ones (and are numerous enough to matter).  Compaction preserves every
@@ -211,32 +244,50 @@ let is_pending h = h.live
 let maybe_compact t =
   if t.dead > 64 && 2 * t.dead > Event_queue.size t.queue + Timer_wheel.size t.wheel
   then begin
-    let live h = h.live in
     let swept =
-      Event_queue.compact t.queue ~keep:live + Timer_wheel.compact t.wheel
+      Event_queue.compact t.queue ~keep:t.keep + Timer_wheel.compact t.wheel
     in
     t.dead <- t.dead - swept;
     t.compactions <- t.compactions + 1
   end
 
-let cancel t h =
-  if h.live then begin
-    h.live <- false;
-    h.thunk <- nop;
+(* An owner-held re-armable timer.  [h] is the handle of the latest
+   arming and [gen] that handle's generation at the time: once the
+   handle fires or is purged it returns to the pool with a bumped
+   generation, so the pair stops matching and a late [disarm] cannot
+   reach whatever event the recycled handle carries next. *)
+type timer = { sched : t; fire : unit -> unit; mutable h : handle; mutable gen : int }
+
+let timer sched fire =
+  (* alloc-allow: a timer is built once per owner (a sender, a peer, a flow), never per arming *)
+  { sched; fire; h = dummy_handle; gen = -1 }
+
+let armed tm = tm.h.live && tm.h.gen = tm.gen
+
+(* the handle stays queued, dead, until it is purged *)
+let disarm tm =
+  if armed tm then begin
+    let t = tm.sched in
+    tm.h.live <- false;
+    tm.h.thunk <- nop;
     t.dead <- t.dead + 1;
     maybe_compact t
   end
 
+let arm tm ~after =
+  disarm tm;
+  let t = tm.sched in
+  let time_ns = Sim_time.to_ns t.clock + Sim_time.span_ns after in
+  if time_ns < Sim_time.to_ns t.clock then invalid_arg "Scheduler.arm: time in the past";
+  let h = push_thunk t ~time_ns tm.fire in
+  tm.h <- h;
+  tm.gen <- h.gen
+
 let schedule_periodic t ~every f =
   if Sim_time.compare_span every Sim_time.zero_span <= 0 then
     invalid_arg "Scheduler.schedule_periodic: period must be positive";
-  let rec tick () =
-    if f () then
-      let (_ : handle) = schedule t ~after:every tick in
-      ()
-  in
-  let (_ : handle) = schedule t ~after:every tick in
-  ()
+  let rec tick () = if f () then schedule t ~after:every tick in
+  schedule t ~after:every tick
 
 (* ---- dequeue ---- *)
 
@@ -273,23 +324,27 @@ let step_prepared t =
     t.clock <- Sim_time.of_ns time_ns;
     t.fired <- t.fired + 1;
     if h.live then begin
-      h.live <- false;
+      (* recycle before dispatch: the handler may schedule and reuse
+         this very record, which is safe once its operands are copied out *)
       let k = h.kind in
       if k >= 0 then begin
-        (* recycle before dispatch: the handler may schedule and reuse
-           this very record, which is safe once kind/arg are copied out *)
         let a = h.arg in
         t.cur_src <- t.kind_srcs.(k);
-        release_handle t h;
+        release_handle t.pool h;
         (* alloc-allow: dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
         t.handlers.(k) a
       end
       else begin
+        let f = h.thunk in
         t.cur_src <- h.src;
-        h.thunk ()
+        release_handle t.pool h;
+        f ()
       end
     end
-    else t.dead <- t.dead - 1;
+    else begin
+      t.dead <- t.dead - 1;
+      release_handle t.pool h
+    end;
     true
   end
 

@@ -10,17 +10,15 @@
 
     There is one dispatch path for steady-state events: components
     register a handler kind once ({!register_kind}) and schedule
-    (kind, arg) pairs ({!schedule_tag}) carried by pooled handle
-    records, allocating nothing per event.  Closure scheduling remains
-    for cancellable timers and cold paths.  One drive loop
-    ({!run_until}) fires events; {!run} and {!step} are thin wrappers. *)
+    (kind, arg) pairs ({!schedule_tag}), allocating nothing per event.
+    Cancellable events are owner-held re-armable {!timer}s with a thunk
+    built once, so re-arming allocates nothing either; fire-and-forget
+    closures ({!schedule}) remain for cold paths.  Every queued event
+    rides a handle record from the scheduler's own pool and no handle
+    escapes the scheduler.  One drive loop ({!run_until}) fires events;
+    {!run} and {!step} are thin wrappers. *)
 
 type t
-
-type handle
-(** A scheduled closure event that can be cancelled before it fires.
-    Tagged events ({!schedule_tag}) are fire-and-forget and expose no
-    handle. *)
 
 val create : unit -> t
 (** Captures {!wheel_enabled} at creation time. *)
@@ -28,14 +26,15 @@ val create : unit -> t
 val now : t -> Sim_time.t
 (** Current simulation time. *)
 
-val schedule : t -> after:Sim_time.span -> (unit -> unit) -> handle
-(** [schedule t ~after f] runs [f] at [now t + after].  Allocates a
-    handle and a closure — prefer {!schedule_tag} on per-packet paths.
-    For same-timestamp tie-breaking the event ranks under the component
-    whose handler is executing (a component scheduling its own
-    follow-ups). *)
+val schedule : t -> after:Sim_time.span -> (unit -> unit) -> unit
+(** [schedule t ~after f] runs [f] at [now t + after]; the event cannot
+    be cancelled.  The caller's closure is usually a fresh allocation —
+    prefer {!schedule_tag} on per-packet paths and a {!timer} for
+    anything re-armed.  For same-timestamp tie-breaking the event ranks
+    under the component whose handler is executing (a component
+    scheduling its own follow-ups). *)
 
-val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> handle
+val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at [time]; raises [Invalid_argument]
     if [time] is in the past. *)
 
@@ -76,14 +75,32 @@ val inject_tag : t -> time_ns:int -> born_ns:int -> kind:int -> arg:int -> unit
     [Invalid_argument] if [time_ns] is in the past or precedes
     [born_ns]. *)
 
-val cancel : t -> handle -> unit
-(** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op.  Dead handles are purged lazily (when their wheel slot
-    flushes or they pop) and a compaction sweep runs whenever dead
-    handles outnumber live ones, so arm/cancel churn — TCP re-arming its
-    RTO per ack — keeps the queue bounded by the live set. *)
+type timer
+(** A re-armable, cancellable event held by its owner: the thunk is
+    fixed at creation and at most one firing is pending at a time. *)
 
-val is_pending : handle -> bool
+val timer : t -> (unit -> unit) -> timer
+(** [timer t f] makes a disarmed timer that runs [f] when it fires.
+    Build it once per owner (a TCP sender's RTO, a relay deadline), not
+    per arming. *)
+
+val arm : timer -> after:Sim_time.span -> unit
+(** [arm tm ~after] schedules the timer to fire at [now + after],
+    cancelling a pending firing first.  Allocation-free once the
+    scheduler's handle pool is warm.  Like {!schedule}, the firing ranks
+    under the component whose handler is executing. *)
+
+val disarm : timer -> unit
+(** Cancel the pending firing, if any; a no-op on a disarmed timer,
+    including one whose last firing already happened.  Dead handles are
+    purged lazily (when their wheel slot flushes or they pop) and a
+    compaction sweep runs whenever dead handles outnumber live ones, so
+    arm/disarm churn — TCP re-arming its RTO per ack — keeps the queue
+    bounded by the live set. *)
+
+val armed : timer -> bool
+(** Whether a firing is pending.  [false] inside the timer's own thunk,
+    which may re-arm it. *)
 
 val schedule_periodic : t -> every:Sim_time.span -> (unit -> bool) -> unit
 (** [schedule_periodic t ~every f] calls [f] every [every]; the series stops

@@ -51,6 +51,7 @@ type 'a t = {
   mutable frontier : int; (* absolute ns, multiple of 2^g_bits *)
   mutable count : int;
   mutable lb : int; (* lower bound on min queued entry time, ns *)
+  mutable purged : int; (* dead entries dropped by the running flush *)
 }
 
 let empty_ints = [||]
@@ -80,6 +81,7 @@ let create ?(bits = 8) ?(g_bits = 6) ?(levels = 3) ~dummy ~keep () =
     frontier = 0;
     count = 0;
     lb = max_int;
+    purged = 0;
   }
 
 (* [idx] is the level-major slot index (level lsl bits) lor ring *)
@@ -213,7 +215,7 @@ let next_occupied_window t =
    levels cascade each entry down ([place] from level 0 always succeeds
    here because the frontier sits at the slot's window start, putting
    the whole window within reach of the ring below). *)
-let flush_slot t ~level idx ~into ~dropped =
+let flush_slot t ~level idx ~into =
   let s = t.slots.(idx) in
   let n = s.s_len in
   if n > 0 then begin
@@ -229,7 +231,7 @@ let flush_slot t ~level idx ~into ~dropped =
       vals.(i) <- t.dummy;
       if not (t.keep v) then begin
         t.count <- t.count - 1;
-        incr dropped
+        t.purged <- t.purged + 1
       end
       else if level = 0 then begin
         t.count <- t.count - 1;
@@ -245,67 +247,67 @@ let flush_slot t ~level idx ~into ~dropped =
 
 (* Cascade every level whose slot the frontier is entering (all lower
    index bits zero), then flush the level-0 slot and step one granule. *)
-let step_frontier t ~into ~dropped =
+let step_frontier t ~into =
   let mask = (1 lsl t.bits) - 1 in
   for k = t.levels - 1 downto 1 do
     let sh = shift t k in
     if t.frontier land ((1 lsl sh) - 1) = 0 then
       flush_slot t ~level:k
         ((k lsl t.bits) lor ((t.frontier lsr sh) land mask))
-        ~into ~dropped
+        ~into
   done;
   flush_slot t ~level:0
     ((t.frontier lsr t.g_bits) land mask)
-    ~into ~dropped;
+    ~into;
   t.frontier <- t.frontier + (1 lsl t.g_bits)
 
 (* Flush every window whose start is <= [upto_ns] into [into], jumping
    the frontier across empty stretches.  Afterwards every remaining
    wheel entry's time exceeds [upto_ns], so a heap top at or before
    [upto_ns] is the true global minimum.  Returns the number of dead
-   entries purged. *)
-let advance t ~upto_ns ~into =
-  let dropped = ref 0 in
-  (* first granule boundary strictly past [upto_ns] *)
-  let target = ((upto_ns lsr t.g_bits) + 1) lsl t.g_bits in
-  let continue = ref true in
-  while !continue do
-    if t.count = 0 then begin
+   entries purged (counted in a wheel field, not a per-call ref cell:
+   this runs once per flushed window). *)
+let rec advance_to t ~upto_ns ~target ~into =
+  if t.count = 0 then begin
+    if t.frontier < target then t.frontier <- target;
+    t.lb <- max_int
+  end
+  else begin
+    let next = next_occupied_window t in
+    if next > upto_ns then begin
+      (* [next] is granule-aligned and > upto_ns, hence >= target: the
+         jump cannot skip an occupied window's boundary *)
       if t.frontier < target then t.frontier <- target;
-      t.lb <- max_int;
-      continue := false
+      if t.lb < next then t.lb <- next
     end
     else begin
-      let next = next_occupied_window t in
-      if next > upto_ns then begin
-        (* [next] is granule-aligned and > upto_ns, hence >= target: the
-           jump cannot skip an occupied window's boundary *)
-        if t.frontier < target then t.frontier <- target;
-        if t.lb < next then t.lb <- next;
-        continue := false
-      end
-      else begin
-        if next > t.frontier then t.frontier <- next;
-        step_frontier t ~into ~dropped
-      end
+      if next > t.frontier then t.frontier <- next;
+      step_frontier t ~into;
+      advance_to t ~upto_ns ~target ~into
     end
-  done;
-  !dropped
+  end
+
+let advance t ~upto_ns ~into =
+  t.purged <- 0;
+  (* first granule boundary strictly past [upto_ns] *)
+  let target = ((upto_ns lsr t.g_bits) + 1) lsl t.g_bits in
+  advance_to t ~upto_ns ~target ~into;
+  t.purged
 
 (* Flush just the earliest occupied window (used when the heap is empty:
    afterwards the heap top precedes every remaining wheel entry, because
    cascaded survivors land in strictly later windows). *)
 let advance_next t ~into =
-  let dropped = ref 0 in
+  t.purged <- 0;
   let before = Event_queue.size into in
   while t.count > 0 && Event_queue.size into = before do
     let next = next_occupied_window t in
     if next > t.frontier then t.frontier <- next;
-    step_frontier t ~into ~dropped
+    step_frontier t ~into
   done;
   if t.count = 0 then t.lb <- max_int
   else if t.lb < t.frontier then t.lb <- t.frontier;
-  !dropped
+  t.purged
 
 let compact t =
   let dropped = ref 0 in

@@ -23,7 +23,9 @@ val create :
 (** [bits] = log2 slots per level (default 8), [g_bits] = log2 of the
     level-0 slot span in ns (default 6 = 64 ns), [levels] (default 3).
     [dummy] pads vacated payload slots; entries failing [keep] are purged
-    (and counted) whenever their slot is flushed or compacted. *)
+    (and counted) whenever their slot is flushed or compacted.  [keep]
+    is called once on each entry a flush or compaction judges, and a
+    rejected entry is never touched again, so [keep] may recycle it. *)
 
 val add :
   'a t -> time_ns:int -> born_ns:int -> src:int -> seq:int -> 'a -> bool

@@ -179,14 +179,12 @@ let failure_timeline ?(jobs = 2000) ?(seed = 3) () =
        0.4 keeps the pre-failure fabric clearly stable so the degradation
        and recovery stand out *)
     let topo = Fabric.topology (Scenario.fabric scn) in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 60))
-        (fun () ->
-          let l2 = 1 and s2 = 3 in
-          match Topology.find_edge topo ~a:l2 ~b:s2 ~bundle_index:1 with
-          | Some e -> Fabric.fail_edge (Scenario.fabric scn) e
-          | None -> ())
-    in
+    Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 60))
+      (fun () ->
+        let l2 = 1 and s2 = 3 in
+        match Topology.find_edge topo ~a:l2 ~b:s2 ~bundle_index:1 with
+        | Some e -> Fabric.fail_edge (Scenario.fabric scn) e
+        | None -> ());
     let cfg =
       {
         Workload.Websearch.load = 0.4;

@@ -174,17 +174,11 @@ let rec flap_cycle t e ~period ~duty ~stop_at =
     t.flap_transitions <- t.flap_transitions + 1;
     let down_for = Sim_time.mul_span period duty in
     let up_for = Sim_time.mul_span period (1.0 -. duty) in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:down_for (fun () ->
-          edge_up t e;
-          t.flap_transitions <- t.flap_transitions + 1;
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule t.sched ~after:up_for (fun () ->
-                flap_cycle t e ~period ~duty ~stop_at)
-          in
-          ())
-    in
-    ()
+    Scheduler.schedule t.sched ~after:down_for (fun () ->
+        edge_up t e;
+        t.flap_transitions <- t.flap_transitions + 1;
+        Scheduler.schedule t.sched ~after:up_for (fun () ->
+            flap_cycle t e ~period ~duty ~stop_at))
   end
 
 let fire t (ev : Fault_plan.event) =
@@ -214,35 +208,26 @@ let fire t (ev : Fault_plan.event) =
         (match until with
         | None -> ()
         | Some stop ->
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop)
-              (fun () -> Fabric.clear_edge_brownout t.fabric e)
-          in
-          ()))
+          Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop)
+            (fun () -> Fabric.clear_edge_brownout t.fabric e)))
     | Fault_plan.Feedback_loss { prob; until } ->
       t.fb_prob <- prob;
       push_loss_profiles t;
       (match until with
       | None -> ()
       | Some stop ->
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
-              t.fb_prob <- 0.0;
-              push_loss_profiles t)
-        in
-        ())
+        Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
+            t.fb_prob <- 0.0;
+            push_loss_profiles t))
     | Fault_plan.Probe_loss { prob; until } ->
       t.probe_prob <- prob;
       push_loss_profiles t;
       (match until with
       | None -> ()
       | Some stop ->
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
-              t.probe_prob <- 0.0;
-              push_loss_profiles t)
-        in
-        ())
+        Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
+            t.probe_prob <- 0.0;
+            push_loss_profiles t))
     | Fault_plan.Switch_down name -> (
       match t.naming.resolve_switch name with
       | None -> ()
@@ -287,11 +272,8 @@ let arm t plan =
   | None ->
     List.iter
       (fun (ev : Fault_plan.event) ->
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched
-            ~time:(Sim_time.of_span ev.Fault_plan.at)
-            (fun () -> fire t ev)
-        in
-        ())
+        Scheduler.schedule_at t.sched
+          ~time:(Sim_time.of_span ev.Fault_plan.at)
+          (fun () -> fire t ev))
       plan;
     Ok ()

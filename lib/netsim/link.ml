@@ -59,22 +59,25 @@ let brownout_lost t =
   | None -> false
   | Some b -> b.loss_prob > 0.0 && Rng.float b.rng 1.0 < b.loss_prob
 
+(* first free slot at or after [i], growing the array when all are
+   taken.  Top-level recursion, not a local closure: this runs on every
+   serializer start *)
+let rec free_tx_slot t i =
+  let n = Array.length t.tx_slots in
+  if i = n then begin
+    let slots = Array.make (2 * n) Packet.placeholder in
+    Array.blit t.tx_slots 0 slots 0 n;
+    t.tx_slots <- slots;
+    n
+  end
+  else if t.tx_slots.(i) == Packet.placeholder then i
+  else free_tx_slot t (i + 1)
+
 (* slot for a packet being serialized; frees are marked with the
    placeholder.  Linear scan — the array holds at most a couple of
    entries (overlap only happens across a down/up flap). *)
 let alloc_tx_slot t pkt =
-  let n = Array.length t.tx_slots in
-  let rec find i =
-    if i = n then begin
-      let slots = Array.make (2 * n) Packet.placeholder in
-      Array.blit t.tx_slots 0 slots 0 n;
-      t.tx_slots <- slots;
-      n
-    end
-    else if t.tx_slots.(i) == Packet.placeholder then i
-    else find (i + 1)
-  in
-  let i = find 0 in
+  let i = free_tx_slot t 0 in
   t.tx_slots.(i) <- pkt;
   i
 

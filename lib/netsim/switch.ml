@@ -74,11 +74,14 @@ let rx_packets t = t.rx_packets
 let routing_drops t = t.routing_drops
 let ttl_drops t = t.ttl_drops
 
+(* whether candidates [i..] all lead to [peer]; top-level recursion so
+   the per-packet spine forward allocates no local closure *)
+let rec same_peer_from t candidates ~peer i =
+  i >= Array.length candidates
+  || (t.ports.(candidates.(i)).peer = peer && same_peer_from t candidates ~peer (i + 1))
+
 let all_same_peer t candidates =
-  let n = Array.length candidates in
-  let peer = t.ports.(candidates.(0)).peer in
-  let rec go i = i >= n || (t.ports.(candidates.(i)).peer = peer && go (i + 1)) in
-  go 1
+  same_peer_from t candidates ~peer:t.ports.(candidates.(0)).peer 1
 
 let default_pick t ~in_port pkt ~candidates =
   let n = Array.length candidates in
@@ -145,11 +148,8 @@ let receive t ~in_port pkt =
       (* the reply is a switch-originated packet: a fresh injection as far
          as packet conservation is concerned *)
       if !Analysis.Audit.on then Analysis.Audit.note_injected ();
-      let (_ : Scheduler.handle) =
-        Scheduler.schedule t.sched ~after:t.latency (fun () ->
-            forward t ~in_port:(-1) reply)
-      in
-      ()
+      Scheduler.schedule t.sched ~after:t.latency (fun () ->
+          forward t ~in_port:(-1) reply)
   end
   else begin
     Ring.push t.pipes.(in_port) pkt;

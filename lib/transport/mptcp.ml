@@ -19,42 +19,21 @@ type t = {
   mutable reinjections : int;
 }
 
-let lia_increase t k () =
-  (* alpha = cwnd_total * max_r(w_r / rtt_r^2) / (sum_r w_r / rtt_r)^2 ;
-     per-packet-acked increase for subflow k is min(alpha / w_total, 1 / w_k) *)
-  let n = Array.length t.senders in
-  let rtt_of s =
-    match Tcp.srtt s with
-    | Some r -> Float.max (Sim_time.span_to_sec r) 1e-6
-    | None -> 100e-6
-  in
-  let w_total = ref 0.0 and best = ref 0.0 and denom = ref 0.0 in
-  for i = 0 to n - 1 do
-    let w = Tcp.cwnd_pkts t.senders.(i) and r = rtt_of t.senders.(i) in
-    w_total := !w_total +. w;
-    best := Float.max !best (w /. (r *. r));
-    denom := !denom +. (w /. r)
-  done;
-  if !denom <= 0.0 || !w_total <= 0.0 then 0.0
-  else begin
-    let alpha = !w_total *. !best /. (!denom *. !denom) in
-    let wk = Float.max (Tcp.cwnd_pkts t.senders.(k)) 1e-9 in
-    Float.min (alpha /. !w_total) (1.0 /. wk)
-  end
+(* the jobs from the oldest one with bytes left to grant on; the list
+   suffix itself, so the per-pull lookup allocates no option *)
+let rec from_oldest_incomplete = function
+  | job :: _ as jobs when job.to_grant > 0 -> jobs
+  | _ :: rest -> from_oldest_incomplete rest
+  | [] -> []
 
-let oldest_incomplete t =
-  let rec go = function
-    | [] -> None
-    | job :: rest -> if job.to_grant > 0 then Some job else go rest
-  in
-  go t.jobs
-
+(* runs per ACK: rebuild the list only when a job completed *)
 let gc_jobs t =
-  t.jobs <- List.filter (fun j -> not j.completed) t.jobs
+  if List.exists (fun j -> j.completed) t.jobs then
+    t.jobs <- List.filter (fun j -> not j.completed) t.jobs
 
 let window_avail t k =
   let s = t.senders.(k) in
-  int_of_float (Tcp.cwnd_pkts s *. float_of_int t.mss) - Tcp.flight_bytes s
+  Tcp.cwnd_bytes s - Tcp.flight_bytes s
 
 let srtt_sec t k =
   match Tcp.srtt t.senders.(k) with
@@ -82,9 +61,9 @@ let pull t k () =
      Jobs below the stripe threshold are pinned to a single subflow
      (minRTT scheduling): striping a mouse over all paths would make its
      completion the maximum of four path latencies. *)
-  match oldest_incomplete t with
-  | None -> 0
-  | Some job ->
+  match from_oldest_incomplete t.jobs with
+  | [] -> 0
+  | job :: _ ->
     (if job.size <= t.stripe_threshold && job.pinned = None then begin
        let j = match best_subflow t with Some b -> b | None -> k in
        job.pinned <- Some j;
@@ -183,13 +162,13 @@ let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src
       Tcp.set_pull s (pull t k);
       Tcp.set_on_acked s (on_acked t k);
       Tcp.set_on_timeout s (fun () -> reinject t k);
-      if coupled then Tcp.set_ca_increase s (lia_increase t k);
       let r =
         Tcp.create_receiver ~sched ~cfg ~conn_id ~subflow:k ~addr:dst ~peer:src
           ~src_port:dst_port ~dst_port:(base_port + k) ~tx:tx_dst ()
       in
       Stack.register_receiver dst_stack r)
     t.senders;
+  if coupled then Tcp.couple t.senders;
   t
 
 let send t ~bytes ~on_complete =

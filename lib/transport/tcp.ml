@@ -31,8 +31,10 @@ type sender = {
   mutable dup_acks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable rto_handle : Scheduler.handle option;
-  mutable tlp_handle : Scheduler.handle option;
+  (* re-armable timers, built once per sender: [arm_rto] runs on every
+     ACK and re-arms both without allocating *)
+  mutable rto : Scheduler.timer;
+  mutable tlp : Scheduler.timer;
   mutable tlp_fired : bool; (* one probe per flight *)
   (* the in-flight RTT probe, flattened from [(int * Sim_time.t) option]
      so arming one (once per window) writes two immediates instead of
@@ -46,20 +48,19 @@ type sender = {
   mutable dctcp_marked : int;
   mutable dctcp_window_end : int;
   mutable pull : (unit -> int) option;
-  mutable ca_increase : (unit -> float) option;
+  (* the LIA-coupled subflows of one MPTCP connection, this one
+     included; [[||]] when uncoupled *)
+  mutable group : sender array;
   mutable retransmits : int;
   mutable timeouts : int;
   mutable stopped : bool;
   mutable on_acked : (int -> unit) option;
   mutable on_timeout : (unit -> unit) option;
-  (* timer bodies, built once per sender: [arm_rto] runs on every ACK and
-     would otherwise allocate a fresh closure each time *)
-  mutable rto_fn : unit -> unit;
-  mutable tlp_fn : unit -> unit;
 }
 
 let set_pull s f = s.pull <- Some f
-let set_ca_increase s f = s.ca_increase <- Some f
+
+let couple senders = Array.iter (fun s -> s.group <- senders) senders
 let cwnd_pkts s = s.cc.cwnd
 let srtt s = Rtt_estimator.srtt s.rtt
 let flight_bytes s = s.snd_next - s.snd_una
@@ -77,24 +78,10 @@ let set_on_timeout s f = s.on_timeout <- Some f
 let mss s = s.cfg.Tcp_config.mss
 let cwnd_bytes s = int_of_float (s.cc.cwnd *. float_of_int (mss s))
 
-let cancel_rto s =
-  match s.rto_handle with
-  | Some h ->
-    Scheduler.cancel s.sched h;
-    s.rto_handle <- None
-  | None -> ()
-
-let cancel_tlp s =
-  match s.tlp_handle with
-  | Some h ->
-    Scheduler.cancel s.sched h;
-    s.tlp_handle <- None
-  | None -> ()
-
 let stop s =
   s.stopped <- true;
-  cancel_rto s;
-  cancel_tlp s
+  Scheduler.disarm s.rto;
+  Scheduler.disarm s.tlp
 
 let emit_data s ~seq ~payload =
   s.tx
@@ -103,12 +90,11 @@ let emit_data s ~seq ~payload =
        ~kind:Packet.Data ~payload ~ece:false)
 
 let rec arm_rto s =
-  cancel_rto s;
   if flight_bytes s > 0 && not s.stopped then begin
-    s.rto_handle <-
-      Some (Scheduler.schedule s.sched ~after:(Rtt_estimator.rto s.rtt) s.rto_fn);
+    Scheduler.arm s.rto ~after:(Rtt_estimator.rto s.rtt);
     arm_tlp s
   end
+  else Scheduler.disarm s.rto
 
 and arm_tlp s =
   (* tail loss probe (Linux since 3.10): if no ACK arrives for ~2 SRTT,
@@ -116,7 +102,7 @@ and arm_tlp s =
      via dupacks/cumulative ACK instead of a full RTO.  The SRTT is read
      through the option-free raw accessors: this runs per ACK and the
      [srtt] option would be a per-ACK box *)
-  if (not s.tlp_fired) && s.tlp_handle = None && not s.in_recovery then begin
+  if (not s.tlp_fired) && (not (Scheduler.armed s.tlp)) && not s.in_recovery then begin
     let pto =
       if Rtt_estimator.has_sample s.rtt then
         Sim_time.add_span
@@ -124,11 +110,10 @@ and arm_tlp s =
           (Sim_time.us 100)
       else Sim_time.ms 1
     in
-    s.tlp_handle <- Some (Scheduler.schedule s.sched ~after:pto s.tlp_fn)
+    Scheduler.arm s.tlp ~after:pto
   end
 
 and on_tlp s =
-  s.tlp_handle <- None;
   if flight_bytes s > 0 && (not s.stopped) && not s.in_recovery then begin
     s.tlp_fired <- true;
     let seq = max s.snd_una (s.snd_next - mss s) in
@@ -141,10 +126,9 @@ and on_tlp s =
   end
 
 and on_rto s =
-  s.rto_handle <- None;
   if flight_bytes s > 0 && not s.stopped then begin
     s.timeouts <- s.timeouts + 1;
-    cancel_tlp s;
+    Scheduler.disarm s.tlp;
     s.tlp_fired <- false;
     Rtt_estimator.backoff s.rtt;
     let flight_pkts = float_of_int (flight_bytes s) /. float_of_int (mss s) in
@@ -193,8 +177,8 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       dup_acks = 0;
       in_recovery = false;
       recover = 0;
-      rto_handle = None;
-      tlp_handle = None;
+      rto = Scheduler.timer sched ignore;
+      tlp = Scheduler.timer sched ignore;
       tlp_fired = false;
       rtt_probe_seq = -1;
       rtt_probe_t0 = Sim_time.zero;
@@ -204,20 +188,18 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       dctcp_marked = 0;
       dctcp_window_end = 0;
       pull = None;
-      ca_increase = None;
+      group = [||];
       retransmits = 0;
       timeouts = 0;
       stopped = false;
       on_acked = None;
       on_timeout = None;
-      rto_fn = ignore;
-      tlp_fn = ignore;
     }
   in
-  (* tie the timer-body knot: the closures capture [s], so they cannot be
-     record-literal fields *)
-  s.rto_fn <- (fun () -> on_rto s);
-  s.tlp_fn <- (fun () -> on_tlp s);
+  (* tie the timer-body knot: the thunks capture [s], so the real timers
+     replace the placeholders once [s] exists *)
+  s.rto <- Scheduler.timer sched (fun () -> on_rto s);
+  s.tlp <- Scheduler.timer sched (fun () -> on_tlp s);
   s
 
 let retransmit_hole s =
@@ -246,7 +228,7 @@ let rec try_send s =
         s.rtt_probe_t0 <- Scheduler.now s.sched
       end;
       s.snd_next <- s.snd_next + payload;
-      if s.rto_handle = None then arm_rto s;
+      if not (Scheduler.armed s.rto) then arm_rto s;
       try_send s
     end
   end
@@ -257,16 +239,15 @@ let send s ~bytes ~on_complete =
   Queue.add { end_seq = s.stream_end; on_complete } s.jobs;
   try_send s
 
-let complete_jobs s =
-  let rec loop () =
-    match Queue.peek_opt s.jobs with
-    | Some job when job.end_seq <= s.snd_una ->
-      let (_ : job) = Queue.pop s.jobs in
-      job.on_complete ();
-      loop ()
-    | _ -> ()
-  in
-  loop ()
+(* top-level recursion, not a local loop: this runs on every ACK and a
+   local function capturing [s] would be allocated per call *)
+let rec complete_jobs s =
+  if (not (Queue.is_empty s.jobs)) && (Queue.peek s.jobs).end_seq <= s.snd_una
+  then begin
+    let job = Queue.pop s.jobs in
+    job.on_complete ();
+    complete_jobs s
+  end
 
 let window_cut s =
   (* at most one multiplicative decrease per RTT, RFC 3168 style; DCTCP
@@ -302,17 +283,51 @@ let dctcp_account s ~acked_bytes ~ece =
 
 let ecn_signal s = if s.cfg.Tcp_config.respond_to_ecn then window_cut s
 
+(* smoothed RTT in seconds for the LIA weights: floored at 1 us, and
+   100 us before the first sample *)
+let[@inline] lia_rtt s =
+  if Rtt_estimator.has_sample s.rtt then
+    (* per ACK: a cross-module float result would box, so convert from
+       raw ns here — lint: allow sema-time-boundary *)
+    let ns = Sim_time.span_ns (Rtt_estimator.srtt_span s.rtt) in
+    Float.max (float_of_int ns /. 1e9) 1e-6
+  else 100e-6
+
+(* MPTCP's coupled increase (LIA, RFC 6356) for a subflow in congestion
+   avoidance:
+     alpha = cwnd_total * max_r(w_r / rtt_r^2) / (sum_r w_r / rtt_r)^2
+   and the per-packet-acked increase for this subflow is
+   min(alpha / w_total, 1 / w_k).  Computed here rather than by the
+   MPTCP layer so no float crosses a module boundary per ACK; it takes
+   the acked byte count and updates [cwnd] in place for the same
+   reason. *)
+let lia_grow s ~acked_bytes =
+  let acked_pkts = float_of_int acked_bytes /. float_of_int (mss s) in
+  let g = s.group in
+  let w_total = ref 0.0 and best = ref 0.0 and denom = ref 0.0 in
+  for i = 0 to Array.length g - 1 do
+    let w = g.(i).cc.cwnd and r = lia_rtt g.(i) in
+    w_total := !w_total +. w;
+    best := Float.max !best (w /. (r *. r));
+    denom := !denom +. (w /. r)
+  done;
+  let inc =
+    if !denom <= 0.0 || !w_total <= 0.0 then 0.0
+    else begin
+      let alpha = !w_total *. !best /. (!denom *. !denom) in
+      let wk = Float.max s.cc.cwnd 1e-9 in
+      Float.min (alpha /. !w_total) (1.0 /. wk)
+    end
+  in
+  s.cc.cwnd <- s.cc.cwnd +. (inc *. acked_pkts)
+
 let grow_window s ~acked_bytes =
   let acked_pkts = float_of_int acked_bytes /. float_of_int (mss s) in
   if s.cc.cwnd < s.cc.ssthresh then
     s.cc.cwnd <- s.cc.cwnd +. acked_pkts (* slow start *)
-  else
-    let inc =
-      match s.ca_increase with
-      | Some f -> f () *. acked_pkts
-      | None -> acked_pkts /. s.cc.cwnd
-    in
-    s.cc.cwnd <- s.cc.cwnd +. inc
+  else if Array.length s.group = 0 then
+    s.cc.cwnd <- s.cc.cwnd +. (acked_pkts /. s.cc.cwnd)
+  else lia_grow s ~acked_bytes
 
 let on_ack s (seg : Packet.tcp_seg) =
   if s.stopped then ()
@@ -352,9 +367,9 @@ let on_ack s (seg : Packet.tcp_seg) =
       else grow_window s ~acked_bytes;
       (match s.on_acked with Some f -> f acked_bytes | None -> ());
       complete_jobs s;
-      cancel_tlp s;
+      Scheduler.disarm s.tlp;
       s.tlp_fired <- false;
-      if flight_bytes s = 0 then cancel_rto s else arm_rto s;
+      arm_rto s;
       try_send s
     end
     else if flight_bytes s > 0 then begin
@@ -394,7 +409,13 @@ type receiver = {
   r_dst_port : int;
   r_tx : Packet.t -> unit;
   mutable rcv_next : int;
-  mutable ooo : (int * int) list; (* disjoint sorted intervals above rcv_next *)
+  (* out-of-order byte ranges above rcv_next: [ooo_lo.(i), ooo_hi.(i)),
+     i < ooo_len, disjoint, non-adjacent and sorted.  Flat arrays, not a
+     list of pairs: reordering across flowlet switches makes this a
+     per-segment path, and the list rebuilt its prefix on every insert *)
+  mutable ooo_lo : int array;
+  mutable ooo_hi : int array;
+  mutable ooo_len : int;
   mutable delivered : int;
   mutable ooo_count : int;
 }
@@ -412,7 +433,9 @@ let create_receiver ~sched ~cfg ~conn_id ?(subflow = 0) ~addr ~peer ~src_port ~d
     r_dst_port = dst_port;
     r_tx = tx;
     rcv_next = 0;
-    ooo = [];
+    ooo_lo = [||];
+    ooo_hi = [||];
+    ooo_len = 0;
     delivered = 0;
     ooo_count = 0;
   }
@@ -423,34 +446,62 @@ let rcv_next r = r.rcv_next
 let delivered_bytes r = r.delivered
 let ooo_segments r = r.ooo_count
 
-let insert_interval intervals (lo, hi) =
-  (* insert and coalesce; list stays sorted by lo *)
-  let rec go = function
-    | [] -> [ (lo, hi) ]
-    | (a, b) :: rest when hi < a -> (lo, hi) :: (a, b) :: rest
-    | (a, b) :: rest when b < lo -> (a, b) :: go rest
-    | (a, b) :: rest ->
-      (* overlap: merge and keep folding into the remainder *)
-      let merged = (min a lo, max b hi) in
-      let rec fold (x, y) = function
-        | (c, d) :: more when c <= y -> fold (x, max y d) more
-        | more -> (x, y) :: more
-      in
-      fold merged rest
-  in
-  go intervals
+(* first interval not wholly below [lo] *)
+let rec first_reaching r ~lo i =
+  if i < r.ooo_len && r.ooo_hi.(i) < lo then first_reaching r ~lo (i + 1) else i
 
+(* widen interval [i] over each following interval [j..] it reaches;
+   one past the last one absorbed *)
+let rec merge_from r i j =
+  if j < r.ooo_len && r.ooo_lo.(j) <= r.ooo_hi.(i) then begin
+    if r.ooo_hi.(j) > r.ooo_hi.(i) then r.ooo_hi.(i) <- r.ooo_hi.(j);
+    merge_from r i (j + 1)
+  end
+  else j
+
+(* drop intervals [i, j) of the buffer, closing the gap *)
+let remove_range r i j =
+  Array.blit r.ooo_lo j r.ooo_lo i (r.ooo_len - j);
+  Array.blit r.ooo_hi j r.ooo_hi i (r.ooo_len - j);
+  r.ooo_len <- r.ooo_len - (j - i)
+
+(* insert [lo, hi) and coalesce with every interval it overlaps or
+   touches, keeping the buffer sorted *)
+let insert_interval r ~lo ~hi =
+  let i = first_reaching r ~lo 0 in
+  if i = r.ooo_len || hi < r.ooo_lo.(i) then begin
+    if r.ooo_len = Array.length r.ooo_lo then begin
+      let cap = max 4 (2 * r.ooo_len) in
+      let los = Array.make cap 0 and his = Array.make cap 0 in
+      Array.blit r.ooo_lo 0 los 0 r.ooo_len;
+      Array.blit r.ooo_hi 0 his 0 r.ooo_len;
+      r.ooo_lo <- los;
+      r.ooo_hi <- his
+    end;
+    Array.blit r.ooo_lo i r.ooo_lo (i + 1) (r.ooo_len - i);
+    Array.blit r.ooo_hi i r.ooo_hi (i + 1) (r.ooo_len - i);
+    r.ooo_lo.(i) <- lo;
+    r.ooo_hi.(i) <- hi;
+    r.ooo_len <- r.ooo_len + 1
+  end
+  else begin
+    if lo < r.ooo_lo.(i) then r.ooo_lo.(i) <- lo;
+    if hi > r.ooo_hi.(i) then r.ooo_hi.(i) <- hi;
+    remove_range r (i + 1) (merge_from r i (i + 1))
+  end
+
+(* intervals [0, k) now contiguous with rcv_next, advancing it over each *)
+let rec absorbed r k =
+  if k < r.ooo_len && r.ooo_lo.(k) <= r.rcv_next then begin
+    if r.ooo_hi.(k) > r.rcv_next then r.rcv_next <- r.ooo_hi.(k);
+    absorbed r (k + 1)
+  end
+  else k
+
+(* consume buffered intervals now contiguous with rcv_next *)
 let absorb r =
-  (* consume buffered intervals now contiguous with rcv_next *)
-  let rec go () =
-    match r.ooo with
-    | (a, b) :: rest when a <= r.rcv_next ->
-      if b > r.rcv_next then r.rcv_next <- b;
-      r.ooo <- rest;
-      go ()
-    | _ -> ()
-  in
-  go ()
+  let k = absorbed r 0 in
+  if k > 0 then remove_range r 0 k
 
 let send_ack r ~ece =
   ignore r.r_cfg;
@@ -471,7 +522,7 @@ let on_data r (inner : Packet.inner) =
     absorb r
   end
   else begin
-    r.ooo <- insert_interval r.ooo (lo, hi);
+    insert_interval r ~lo ~hi;
     r.ooo_count <- r.ooo_count + 1
   end;
   r.delivered <- r.delivered + (r.rcv_next - before);

@@ -50,9 +50,13 @@ val set_pull : sender -> (unit -> int) -> unit
     sender calls this to request more bytes; the scheduler returns how many
     bytes it granted (0 = none available). *)
 
-val set_ca_increase : sender -> (unit -> float) -> unit
-(** Override the per-ACK congestion-avoidance window increment (in packets)
-    — used for MPTCP's coupled increase. *)
+val couple : sender array -> unit
+(** Couple the congestion avoidance of one MPTCP connection's subflows
+    with LIA (RFC 6356): per acked packet, subflow [k] grows by
+    [min(alpha / w_total, 1 / w_k)]. *)
+
+val cwnd_bytes : sender -> int
+(** The congestion window in bytes, rounded down. *)
 
 val try_send : sender -> unit
 (** Opportunistically transmit whatever the window allows. *)

@@ -195,12 +195,10 @@ let test_scenario_run_is_audit_clean () =
   let submit = Scenario.connect scn ~src:client ~dst:server in
   let done_count = ref 0 in
   let sizes = [ 5_000; 70_000; 999; 20_000 ] in
-  let (_ : Scheduler.handle) =
-    Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-        List.iter
-          (fun b -> submit ~bytes:b ~on_complete:(fun () -> incr done_count))
-          sizes)
-  in
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      List.iter
+        (fun b -> submit ~bytes:b ~on_complete:(fun () -> incr done_count))
+        sizes);
   Scheduler.run ~until:(Sim_time.of_ns 300_000_000) sched;
   check_int "all jobs done" (List.length sizes) !done_count;
   Scenario.quiesce scn;

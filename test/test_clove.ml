@@ -20,14 +20,12 @@ let test_flowlet_gap_detection () =
   let d0 = Clove.Flowlet.touch t ~key:1 ~pick in
   check_int "first packet opens flowlet 0" 0 d0;
   (* a packet within the gap keeps the decision *)
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 5) (fun () ->
-         check_int "same flowlet" 0 (Clove.Flowlet.touch t ~key:1 ~pick)));
+  Scheduler.schedule sched ~after:(Sim_time.us 5) (fun () ->
+      check_int "same flowlet" 0 (Clove.Flowlet.touch t ~key:1 ~pick));
   Scheduler.run sched;
   (* after an idle gap a new flowlet opens *)
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 20) (fun () ->
-         check_int "new flowlet" 1 (Clove.Flowlet.touch t ~key:1 ~pick)));
+  Scheduler.schedule sched ~after:(Sim_time.us 20) (fun () ->
+      check_int "new flowlet" 1 (Clove.Flowlet.touch t ~key:1 ~pick));
   Scheduler.run sched;
   check_int "two picks" 2 !picks;
   check_int "flowlets counted" 2 (Clove.Flowlet.flowlets_started t)
@@ -38,29 +36,26 @@ let test_flowlet_keys_independent () =
   ignore (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id));
   ignore (Clove.Flowlet.touch t ~key:2 ~pick:(fun ~flowlet_id -> flowlet_id + 100));
   check_int "two flows tracked" 2 (Clove.Flowlet.flows_tracked t);
-  Alcotest.(check (option int))
-    "flow 2 decision" (Some 100)
-    (Clove.Flowlet.active_flowlet t ~key:2)
+  check_int "flow 2 decision" 100 (Clove.Flowlet.active_flowlet t ~key:2);
+  check_int "untracked flow reads the dummy" 0 (Clove.Flowlet.active_flowlet t ~key:3)
 
 let test_flowlet_gap_boundary () =
   (* a packet at exactly the gap must open a new flowlet (>= semantics) *)
   let sched = Scheduler.create () in
   let t = Clove.Flowlet.create ~sched ~gap:(Sim_time.us 10) ~dummy:0 in
   ignore (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id));
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
-         check_int "boundary opens new" 1
-           (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id))));
+  Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
+      check_int "boundary opens new" 1
+        (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id)));
   Scheduler.run sched
 
 let test_flowlet_expiry () =
   let sched = Scheduler.create () in
   let t = Clove.Flowlet.create ~sched ~gap:(Sim_time.us 10) ~dummy:0 in
   ignore (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id));
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () ->
-         Clove.Flowlet.expire_older_than t (Sim_time.ms 1);
-         check_int "expired" 0 (Clove.Flowlet.flows_tracked t)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () ->
+      Clove.Flowlet.expire_older_than t (Sim_time.ms 1);
+      check_int "expired" 0 (Clove.Flowlet.flows_tracked t));
   Scheduler.run sched
 
 (* ---------------------------------- Wrr --------------------------- *)
@@ -384,9 +379,8 @@ let test_vswitch_end_to_end_per_scheme () =
       let server = (Experiments.Scenario.servers scn).(0) in
       let submit = Experiments.Scenario.connect scn ~src:client ~dst:server in
       let finished = ref false in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-             submit ~bytes:200_000 ~on_complete:(fun () -> finished := true)));
+      Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+          submit ~bytes:200_000 ~on_complete:(fun () -> finished := true));
       Scheduler.run ~until:(Sim_time.of_ns 200_000_000) sched;
       Alcotest.(check bool)
         (Experiments.Scenario.scheme_name scheme ^ " completes")
@@ -406,11 +400,10 @@ let test_vswitch_ecn_feedback_loop () =
   let submits =
     Array.map (fun c -> Experiments.Scenario.connect scn ~src:c ~dst:server) clients
   in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         Array.iter
-           (fun submit -> submit ~bytes:3_000_000 ~on_complete:(fun () -> ()))
-           submits));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      Array.iter
+        (fun submit -> submit ~bytes:3_000_000 ~on_complete:(fun () -> ()))
+        submits);
   Scheduler.run ~until:(Sim_time.of_ns 80_000_000) sched;
   (* at least one client's vswitch has seen feedback and skewed weights *)
   let any_feedback = ref false and any_skew = ref false in
@@ -464,11 +457,76 @@ let test_vswitch_feedback_carrier_when_no_reverse_traffic () =
         cell = None;
       };
   pkt.Packet.ecn <- Packet.Ce;
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () -> Host.deliver server pkt));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () -> Host.deliver server pkt);
   Scheduler.run ~until:(Sim_time.of_ns 10_000_000) sched;
   let stats = Clove.Vswitch.stats (Experiments.Scenario.vswitch scn server) in
   check_bool "carrier sent" true (stats.Clove.Vswitch.feedback_carriers >= 1);
+  Experiments.Scenario.quiesce scn
+
+(* ----------------------- zero-allocation relay ---------------------- *)
+
+(* Minor-heap words allocated by [n] calls of [f] after [warm] warm-up
+   calls.  Host-independent: a count of words, not a timing. *)
+let minor_words_over ~warm ~n f =
+  for _ = 1 to warm do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* A Clove-ECN vswitch receiving CE-marked ACKs that also piggyback
+   congestion feedback.  As the receiver it relays the CE mark for the
+   sender's outer port — only the first one, the rest fall inside the
+   relay interval and are suppressed before any feedback record is
+   built.  As the source it credits the ACK's flowlet port with liveness
+   and applies the feedback to its path weights.  Past the first
+   packet, none of it allocates. *)
+let test_ce_relay_and_feedback_allocate_nothing () =
+  let scn = build_scenario Experiments.Scenario.S_clove_ecn in
+  let sched = Experiments.Scenario.sched scn in
+  let client = (Experiments.Scenario.clients scn).(0) in
+  let server = (Experiments.Scenario.servers scn).(0) in
+  let v = Experiments.Scenario.vswitch scn client in
+  Clove.Vswitch.add_destination v (Host.addr server);
+  Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 15)) sched;
+  let tbl =
+    match Clove.Vswitch.path_table v (Host.addr server) with
+    | Some tbl -> tbl
+    | None -> Alcotest.fail "no paths discovered"
+  in
+  let tenant ~src ~dst ~src_port ~dst_port ~kind ~payload =
+    Packet_pool.acquire_tenant ~src:(Host.addr src) ~dst:(Host.addr dst) ~conn_id:999
+      ~subflow:0 ~src_port ~dst_port ~seq:0 ~ack:0 ~kind ~payload ~ece:false
+  in
+  (* one data packet pins the flow to a flowlet port *)
+  Clove.Vswitch.tx v
+    (tenant ~src:client ~dst:server ~src_port:1000 ~dst_port:80 ~kind:Packet.Data
+       ~payload:100);
+  let feedback =
+    Some (Packet.Fb_ecn { port = (Clove.Path_table.ports tbl).(0); congested = true })
+  in
+  let ce_ack () =
+    let pkt =
+      tenant ~src:server ~dst:client ~src_port:80 ~dst_port:1000 ~kind:Packet.Ack
+        ~payload:0
+    in
+    Packet.install_encap pkt ~src_hv:(Host.addr server) ~dst_hv:(Host.addr client)
+      ~src_port:55555 ~feedback ~cell:None;
+    pkt.Packet.ecn <- Packet.Ce;
+    Host.deliver client pkt
+  in
+  let words = minor_words_over ~warm:100 ~n:1_000 ce_ack in
+  let stats = Clove.Vswitch.stats v in
+  check_int "feedback applied per packet" 1_100 stats.Clove.Vswitch.congestion_feedback_seen;
+  check_bool "weight cut to the floor" true
+    ((Clove.Path_table.weights tbl).(0) < 0.05);
+  check_int "minor words over 1000 CE-marked ACKs" 0 (int_of_float words);
+  (* only the first mark was relayed: one carrier once the deadline passes *)
+  Scheduler.run ~until:(Sim_time.add (Scheduler.now sched) (Sim_time.ms 1)) sched;
+  check_int "one relay" 1 (Clove.Vswitch.stats v).Clove.Vswitch.feedback_carriers;
   Experiments.Scenario.quiesce scn
 
 let () =
@@ -528,5 +586,7 @@ let () =
           Alcotest.test_case "ecn feedback loop" `Slow test_vswitch_ecn_feedback_loop;
           Alcotest.test_case "feedback carrier" `Quick
             test_vswitch_feedback_carrier_when_no_reverse_traffic;
+          Alcotest.test_case "CE relay and feedback allocate nothing" `Quick
+            test_ce_relay_and_feedback_allocate_nothing;
         ] );
     ]

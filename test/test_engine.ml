@@ -212,30 +212,38 @@ let prop_eq_matches_reference =
 let test_sched_order_and_clock () =
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 2) (fun () -> log := 2 :: !log));
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> log := 1 :: !log));
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 3) (fun () -> log := 3 :: !log));
+  Scheduler.schedule s ~after:(Sim_time.us 2) (fun () -> log := 2 :: !log);
+  Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> log := 1 :: !log);
+  Scheduler.schedule s ~after:(Sim_time.us 3) (fun () -> log := 3 :: !log);
   Scheduler.run s;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
   check_int "clock at last event" 3_000 (Sim_time.to_ns (Scheduler.now s))
 
 let test_sched_cancel () =
   let s = Scheduler.create () in
-  let fired = ref false in
-  let h = Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> fired := true) in
-  Scheduler.cancel s h;
+  let fired = ref 0 in
+  let tm = Scheduler.timer s (fun () -> incr fired) in
+  Scheduler.arm tm ~after:(Sim_time.us 1);
+  Scheduler.disarm tm;
+  check_bool "disarmed" false (Scheduler.armed tm);
   Scheduler.run s;
-  check_bool "cancelled" false !fired
+  check_int "cancelled" 0 !fired;
+  (* re-arming replaces the pending firing rather than adding one *)
+  let t0 = Sim_time.to_ns (Scheduler.now s) in
+  Scheduler.arm tm ~after:(Sim_time.us 1);
+  Scheduler.arm tm ~after:(Sim_time.us 2);
+  Scheduler.run s;
+  check_int "one firing per arming" 1 !fired;
+  check_int "at the latest arming" (t0 + 2_000) (Sim_time.to_ns (Scheduler.now s))
 
 let test_sched_nested_schedule () =
   let s = Scheduler.create () in
   let count = ref 0 in
   let rec chain n =
     if n > 0 then
-      ignore
-        (Scheduler.schedule s ~after:(Sim_time.ns 10) (fun () ->
-             incr count;
-             chain (n - 1)))
+      Scheduler.schedule s ~after:(Sim_time.ns 10) (fun () ->
+          incr count;
+          chain (n - 1))
   in
   chain 100;
   Scheduler.run s;
@@ -246,7 +254,7 @@ let test_sched_until () =
   let s = Scheduler.create () in
   let fired = ref 0 in
   for i = 1 to 10 do
-    ignore (Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> incr fired))
+    Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> incr fired)
   done;
   Scheduler.run ~until:(Sim_time.of_ns 5_000) s;
   check_int "only first 5" 5 !fired;
@@ -265,10 +273,10 @@ let test_sched_periodic () =
 
 let test_sched_past_raises () =
   let s = Scheduler.create () in
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 5) (fun () -> ()));
+  Scheduler.schedule s ~after:(Sim_time.us 5) (fun () -> ());
   Scheduler.run s;
   Alcotest.check_raises "past" (Invalid_argument "Scheduler.schedule_at: time in the past")
-    (fun () -> ignore (Scheduler.schedule_at s ~time:Sim_time.zero (fun () -> ())))
+    (fun () -> Scheduler.schedule_at s ~time:Sim_time.zero (fun () -> ()))
 
 let prop_scheduler_fires_all =
   QCheck.Test.make ~name:"scheduler fires every scheduled event" ~count:100
@@ -277,7 +285,7 @@ let prop_scheduler_fires_all =
       let s = Scheduler.create () in
       let fired = ref 0 in
       List.iter
-        (fun d -> ignore (Scheduler.schedule s ~after:(Sim_time.ns d) (fun () -> incr fired)))
+        (fun d -> Scheduler.schedule s ~after:(Sim_time.ns d) (fun () -> incr fired))
         delays;
       Scheduler.run s;
       !fired = List.length delays)
@@ -299,13 +307,11 @@ let wheel_run_order ~wheel delays =
   List.iteri
     (fun i (v, scale) ->
       let d = v * int_of_float (10. ** float_of_int scale) in
-      ignore
-        (Scheduler.schedule s ~after:(Sim_time.ns d) (fun () ->
-             log := i :: !log;
-             if scale = 0 then
-               ignore
-                 (Scheduler.schedule s ~after:(Sim_time.ns (v * 100_000))
-                    (fun () -> log := (i + 10_000) :: !log)))))
+      Scheduler.schedule s ~after:(Sim_time.ns d) (fun () ->
+          log := i :: !log;
+          if scale = 0 then
+            Scheduler.schedule s ~after:(Sim_time.ns (v * 100_000)) (fun () ->
+                log := (i + 10_000) :: !log)))
     delays;
   Scheduler.run s;
   List.rev !log
@@ -349,20 +355,16 @@ let test_tagged_same_instant_order () =
    footprint — bounded throughout. *)
 let test_sched_cancel_compaction () =
   let s = Scheduler.create () in
-  let armed = ref None in
+  let rto = Scheduler.timer s (fun () -> Alcotest.fail "a cancelled RTO fired") in
   let bound_ok = ref true in
   let rec tick n () =
-    (match !armed with Some h -> Scheduler.cancel s h | None -> ());
-    armed := None;
+    Scheduler.disarm rto;
     let d = Scheduler.dead_events s in
     if not (d <= 64 || 2 * d <= Scheduler.pending_events s) then
       bound_ok := false;
     if n > 0 then begin
-      armed :=
-        Some
-          (Scheduler.schedule s ~after:(Sim_time.ms 200) (fun () ->
-               Alcotest.fail "a cancelled RTO fired"));
-      ignore (Scheduler.schedule s ~after:(Sim_time.us 10) (tick (n - 1)))
+      Scheduler.arm rto ~after:(Sim_time.ms 200);
+      Scheduler.schedule s ~after:(Sim_time.us 10) (tick (n - 1))
     end
   in
   tick 5_000 ();
@@ -371,6 +373,137 @@ let test_sched_cancel_compaction () =
   check_bool "compaction ran" true (Scheduler.compactions s > 0);
   check_int "nothing pending after run" 0 (Scheduler.pending_events s);
   check_int "no dead handles left" 0 (Scheduler.dead_events s)
+
+(* -------------------- re-armable timers vs a model ----------------- *)
+
+(* A program over [n_timers] timers mixed with tagged events, issued from
+   outside any handler.  [T_advance d] runs the clock forward by exactly
+   [d]: a tagged tick at [now + d] pins where [run_until] leaves it. *)
+type timer_op =
+  | T_arm of int * int (* timer, delay ns *)
+  | T_disarm of int
+  | T_tag of int * int (* delay ns, label *)
+  | T_advance of int
+
+let n_timers = 4
+
+let timer_op_gen =
+  let open QCheck.Gen in
+  (* short delays stay in the wheel's first level; multi-second ones
+     overflow its ~1.07 s horizon into the heap *)
+  let delay =
+    frequency
+      [
+        (4, int_bound 400);
+        (2, int_bound 20_000);
+        (1, map (fun x -> x * 1_000_000) (int_bound 2_000));
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun i d -> T_arm (i, d)) (int_bound (n_timers - 1)) delay);
+      (2, map (fun i -> T_disarm i) (int_bound (n_timers - 1)));
+      (3, map2 (fun d x -> T_tag (d, x)) delay (int_bound 99));
+      (2, map (fun d -> T_advance d) delay);
+    ]
+
+let print_timer_op = function
+  | T_arm (i, d) -> Printf.sprintf "arm %d +%d" i d
+  | T_disarm i -> Printf.sprintf "disarm %d" i
+  | T_tag (d, x) -> Printf.sprintf "tag %d +%d" x d
+  | T_advance d -> Printf.sprintf "advance %d" d
+
+(* Firing log of the real scheduler: (label, ns).  Timer [i] logs
+   [-1 - i]; tags log their label; ticks are not logged. *)
+let timer_run_real ~wheel ops =
+  let saved = !Scheduler.wheel_enabled in
+  Scheduler.wheel_enabled := wheel;
+  let s = Scheduler.create () in
+  Scheduler.wheel_enabled := saved;
+  let log = ref [] in
+  let note label = log := (label, Sim_time.to_ns (Scheduler.now s)) :: !log in
+  let k_tag = Scheduler.register_kind s note in
+  let k_tick = Scheduler.register_kind s (fun _ -> ()) in
+  let timers = Array.init n_timers (fun i -> Scheduler.timer s (fun () -> note (-1 - i))) in
+  List.iter
+    (function
+      | T_arm (i, d) -> Scheduler.arm timers.(i) ~after:(Sim_time.ns d)
+      | T_disarm i -> Scheduler.disarm timers.(i)
+      | T_tag (d, x) -> Scheduler.schedule_tag s ~after:(Sim_time.ns d) ~kind:k_tag ~arg:x
+      | T_advance d ->
+        Scheduler.schedule_tag s ~after:(Sim_time.ns d) ~kind:k_tick ~arg:0;
+        Scheduler.run_until s ~until_ns:(Sim_time.to_ns (Scheduler.now s) + d))
+    ops;
+  Scheduler.run s;
+  List.rev !log
+
+(* The reference: a plain list of pending entries, fired in
+   (time, born, src, seq) order.  Ranks: 0 = set-up, 1 = the tag kind,
+   2 = the tick kind (registration order); a timer ranks under the
+   component whose event fired last, as the scheduler's [cur_src] does. *)
+let timer_run_model ops =
+  let clock = ref 0 and seq = ref 0 and cur = ref 0 in
+  let pending = ref [] (* (time, born, src, seq, label) *) in
+  let log = ref [] in
+  let push ~after ~src label =
+    pending := (!clock + after, !clock, src, !seq, label) :: !pending;
+    incr seq
+  in
+  let remove label = pending := List.filter (fun (_, _, _, _, l) -> l <> label) !pending in
+  let rec fire_upto until =
+    match List.sort compare (List.filter (fun (t, _, _, _, _) -> t <= until) !pending) with
+    | [] -> ()
+    | ((t, _, src, _, label) as e) :: _ ->
+      pending := List.filter (fun x -> x <> e) !pending;
+      clock := t;
+      cur := src;
+      if label <> `Tick then log := (label, t) :: !log;
+      fire_upto until
+  in
+  List.iter
+    (function
+      | T_arm (i, d) ->
+        remove (`Timer i);
+        push ~after:d ~src:!cur (`Timer i)
+      | T_disarm i -> remove (`Timer i)
+      | T_tag (d, x) -> push ~after:d ~src:1 (`Tag x)
+      | T_advance d ->
+        let until = !clock + d in
+        push ~after:d ~src:2 `Tick;
+        fire_upto until;
+        clock := until)
+    ops;
+  fire_upto max_int;
+  List.rev_map
+    (fun (label, t) ->
+      match label with `Timer i -> (-1 - i, t) | `Tag x -> (x, t) | `Tick -> assert false)
+    !log
+
+let prop_timer_model =
+  QCheck.Test.make ~name:"timers + tagged events fire as the list model, wheel on and off"
+    ~count:300
+    QCheck.(
+      make ~print:(Print.list print_timer_op)
+        Gen.(list_size (int_range 0 300) timer_op_gen))
+    (fun ops ->
+      let expected = timer_run_model ops in
+      timer_run_real ~wheel:true ops = expected && timer_run_real ~wheel:false ops = expected)
+
+(* A timer's handle returns to the pool when it fires and is reused by
+   the next event scheduled; disarming the timer afterwards must not
+   reach that event. *)
+let test_timer_stale_disarm () =
+  let s = Scheduler.create () in
+  let fired = ref [] in
+  let tm = Scheduler.timer s (fun () -> fired := "timer" :: !fired) in
+  Scheduler.arm tm ~after:(Sim_time.us 1);
+  Scheduler.run s;
+  Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> fired := "closure" :: !fired);
+  check_bool "fired timer is disarmed" false (Scheduler.armed tm);
+  Scheduler.disarm tm;
+  check_int "stale disarm cancels nothing" 0 (Scheduler.dead_events s);
+  Scheduler.run s;
+  Alcotest.(check (list string)) "both fired" [ "timer"; "closure" ] (List.rev !fired)
 
 (* ------------------------------ Int_table ------------------------- *)
 
@@ -482,6 +615,8 @@ let () =
           qc prop_wheel_matches_heap;
           Alcotest.test_case "tagged same-instant order" `Quick
             test_tagged_same_instant_order;
+          qc prop_timer_model;
+          Alcotest.test_case "stale disarm is a no-op" `Quick test_timer_stale_disarm;
         ] );
       ( "int_table",
         [

@@ -119,10 +119,9 @@ let test_dre_tracks_rate () =
   let interval = Sim_time.ns (pkt_bytes * 8 / 10) in
   (* 1250B at 10Gbps = 1us *)
   for i = 0 to 299 do
-    ignore
-      (Scheduler.schedule_at sched
-         ~time:(Sim_time.of_ns (i * Sim_time.span_ns interval))
-         (fun () -> Dre.observe dre ~bytes_len:pkt_bytes))
+    Scheduler.schedule_at sched
+      ~time:(Sim_time.of_ns (i * Sim_time.span_ns interval))
+      (fun () -> Dre.observe dre ~bytes_len:pkt_bytes)
   done;
   Scheduler.run sched;
   let u = Dre.utilization dre in
@@ -132,7 +131,7 @@ let test_dre_decays_when_idle () =
   let sched = Scheduler.create () in
   let dre = Dre.create ~rate_bps:10e9 sched in
   Dre.observe dre ~bytes_len:100_000;
-  ignore (Scheduler.schedule sched ~after:(Sim_time.ms 10) (fun () -> ()));
+  Scheduler.schedule sched ~after:(Sim_time.ms 10) (fun () -> ());
   Scheduler.run sched;
   check_bool "decayed to ~0" true (Dre.utilization dre < 0.01)
 
@@ -558,6 +557,54 @@ let test_fabric_ecn_threshold_update () =
   done;
   check_bool "marks with new threshold" true ((Pkt_queue.stats q).Pkt_queue.marked >= 4)
 
+(* ----------------------- zero-allocation hop ----------------------- *)
+
+(* Minor-heap words allocated by [n] calls of [f] after [warm] warm-up
+   calls.  Host-independent: a count of words, not a timing. *)
+let minor_words_over ~warm ~n f =
+  for _ = 1 to warm do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* A packet crossing an index-preserving spine between two parallel
+   bundles: [Switch.receive] -> pipeline -> forward (through
+   [all_same_peer]) -> serializer -> txdone -> wire delivery.  Once the
+   scheduler's handle pool, the rings, the link slots and the timer
+   wheel's slots (each sized on first use, and the clock sweeps across
+   them) are warm, the whole hop allocates nothing. *)
+let test_spine_hop_allocates_nothing () =
+  let sched = Scheduler.create () in
+  let sw =
+    Switch.create ~sched ~id:0 ~level:Switch.Spine ~ecmp_seed:1 ~index_preserving:true ()
+  in
+  let delivered = ref 0 in
+  let wire () =
+    let l = Link.create ~sched ~rate_bps:40e9 ~prop_delay:(Sim_time.us 1) () in
+    Link.set_sink l (fun _ -> incr delivered);
+    l
+  in
+  (* two parallel links to each of leaves 10 and 11 *)
+  let ports =
+    Array.init 4 (fun i ->
+        Switch.add_port sw ~link:(wire ()) ~peer:(10 + (i / 2)) ~parallel_index:(i mod 2))
+  in
+  Switch.set_routes sw (Addr.of_int 1) [| ports.(2); ports.(3) |];
+  let pkt = mk_data ~src:0 ~dst:1 () in
+  let hop () =
+    pkt.Packet.ttl <- 64;
+    Switch.receive sw ~in_port:ports.(1) pkt;
+    Scheduler.run sched
+  in
+  let words = minor_words_over ~warm:5_000 ~n:1_000 hop in
+  check_int "every hop delivered" 6_000 !delivered;
+  check_int "parallel index preserved" 6_000 (Link.tx_packets (Switch.port_link sw ports.(3)));
+  check_int "minor words over 1000 hops" 0 (int_of_float words)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "netsim"
@@ -601,6 +648,8 @@ let () =
           Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;
           Alcotest.test_case "serialization" `Quick test_link_serializes;
           Alcotest.test_case "down drops" `Quick test_link_down_drops;
+          Alcotest.test_case "spine hop allocates nothing" `Quick
+            test_spine_hop_allocates_nothing;
         ] );
       ( "topology+routing",
         [

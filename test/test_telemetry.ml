@@ -27,7 +27,7 @@ let test_sampling_cadence () =
   let t = Telemetry.watch ~sched ~period:(Sim_time.ms 1) ~links:[ ("l", link) ] in
   (* stop after 5 ms: samples at 1..4 ms land before the stop event, and
      the 5 ms tick observes the stop first (FIFO at equal timestamps) *)
-  ignore (Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () -> Telemetry.stop t));
+  Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () -> Telemetry.stop t);
   Scheduler.run sched;
   check_int "four samples" 4 (List.length (Telemetry.series t ~name:"l"));
   Alcotest.(check (list string)) "names" [ "l" ] (Telemetry.names t)
@@ -40,7 +40,7 @@ let test_observes_queue_and_util () =
   for _ = 1 to 50 do
     Link.send link (Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~seg:(mk_seg ()))
   done;
-  ignore (Scheduler.schedule sched ~after:(Sim_time.ms 2) (fun () -> Telemetry.stop t));
+  Scheduler.schedule sched ~after:(Sim_time.ms 2) (fun () -> Telemetry.stop t);
   Scheduler.run sched;
   check_bool "peak queue observed" true (Telemetry.peak_queue t ~name:"l" > 10);
   check_bool "utilization observed" true (Telemetry.mean_utilization t ~name:"l" > 0.0)
@@ -55,7 +55,7 @@ let test_unknown_name_empty () =
 let test_summary_renders () =
   let sched, link = setup () in
   let t = Telemetry.watch ~sched ~period:(Sim_time.ms 1) ~links:[ ("uplink", link) ] in
-  ignore (Scheduler.schedule sched ~after:(Sim_time.ms 3) (fun () -> Telemetry.stop t));
+  Scheduler.schedule sched ~after:(Sim_time.ms 3) (fun () -> Telemetry.stop t);
   Scheduler.run sched;
   let s = Format.asprintf "%a" Telemetry.pp_summary t in
   check_bool "mentions link name" true (String.length s > 6)

@@ -33,16 +33,14 @@ let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
       let idx = !data_count in
       incr data_count;
       if not (drop idx) then
-        ignore
-          (Scheduler.schedule sched ~after:latency (fun () -> deliver_to_receiver inner))
+        Scheduler.schedule sched ~after:latency (fun () -> deliver_to_receiver inner)
     | _ -> ()
   in
   let tx_dst pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             deliver_to_sender inner.Packet.seg))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          deliver_to_sender inner.Packet.seg)
     | _ -> ()
   in
   let sender =
@@ -207,6 +205,54 @@ let test_tcp_receiver_reorder_buffer () =
   Transport.Tcp.on_data receiver (inner 0);
   Alcotest.(check int) "dup acked" 3000 (List.hd !acks)
 
+(* Overlapping, touching, duplicate and out-of-order segments of random
+   sizes: after every one, the cumulative ACK must be the first byte a
+   plain byte-set model has not seen.  Exercises every merge case of the
+   out-of-order interval buffer. *)
+let prop_receiver_acks_match_byte_model =
+  QCheck.Test.make ~name:"receiver acks match a byte-set model" ~count:300
+    QCheck.(small_list (pair (int_bound 60) (int_range 1 12)))
+    (fun segs ->
+      let sched = Scheduler.create () in
+      let last_ack = ref 0 in
+      let receiver =
+        Transport.Tcp.create_receiver ~sched ~cfg ~conn_id:1 ~addr:(Addr.of_int 1)
+          ~peer:(Addr.of_int 0) ~src_port:80 ~dst_port:1000
+          ~tx:(fun pkt ->
+            match pkt.Packet.payload with
+            | Packet.Tenant i -> last_ack := i.Packet.seg.Packet.ack
+            | _ -> ())
+          ()
+      in
+      let seen = Array.make 80 false in
+      List.for_all
+        (fun (seq, payload) ->
+          Transport.Tcp.on_data receiver
+            {
+              Packet.src = Addr.of_int 0;
+              dst = Addr.of_int 1;
+              inner_ecn = Packet.Not_ect;
+              seg =
+                {
+                  Packet.conn_id = 1;
+                  subflow = 0;
+                  src_port = 1000;
+                  dst_port = 80;
+                  seq;
+                  ack = 0;
+                  kind = Packet.Data;
+                  payload;
+                  ece = false;
+                };
+            };
+          Array.fill seen seq payload true;
+          let next = ref 0 in
+          while seen.(!next) do
+            incr next
+          done;
+          !last_ack = !next && Transport.Tcp.rcv_next receiver = !next)
+        segs)
+
 let test_tcp_ece_echo () =
   let sched = Scheduler.create () in
   let last_ece = ref false in
@@ -254,17 +300,15 @@ let make_mptcp ?(subflows = 4) () =
   let tx_src pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             Transport.Stack.deliver dst_stack inner))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          Transport.Stack.deliver dst_stack inner)
     | _ -> ()
   in
   let tx_dst pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             Transport.Stack.deliver src_stack inner))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          Transport.Stack.deliver src_stack inner)
     | _ -> ()
   in
   let conn =
@@ -390,6 +434,59 @@ let prop_tcp_random_loss_still_delivers =
       ignore sender;
       !finished && Transport.Tcp.delivered_bytes receiver = 200_000)
 
+(* ----------------------- zero-allocation ACK ----------------------- *)
+
+(* Minor-heap words allocated by [n] calls of [f] after [warm] warm-up
+   calls.  Host-independent: a count of words, not a timing. *)
+let minor_words_over ~warm ~n f =
+  for _ = 1 to warm do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* A steady-state ACK: it advances [snd_una], grows the window, re-arms
+   the RTO and the TLP and emits the segments the window now allows
+   (recycled straight back into the packet pool).  With the timers
+   re-armed in place and the handle pool warm, it allocates nothing. *)
+let test_ack_rearm_allocates_nothing () =
+  let sched = Scheduler.create () in
+  let sender =
+    Transport.Tcp.create_sender ~sched ~cfg ~conn_id:1 ~src:(Addr.of_int 0)
+      ~dst:(Addr.of_int 1) ~src_port:1000 ~dst_port:80 ~tx:Packet_pool.release ()
+  in
+  Transport.Tcp.send sender ~bytes:(1 lsl 50) ~on_complete:ignore;
+  let seg =
+    {
+      Packet.conn_id = 1;
+      subflow = 0;
+      src_port = 80;
+      dst_port = 1000;
+      seq = 0;
+      ack = 0;
+      kind = Packet.Ack;
+      payload = 0;
+      ece = false;
+    }
+  in
+  (* the clock stands still: every re-arm lands in the same wheel slot,
+     so the steady state is reached once the handle pool and that slot
+     are sized, whatever the RTT estimate does *)
+  let ack () =
+    seg.Packet.ack <- Transport.Tcp.snd_una sender + cfg.Transport.Tcp_config.mss;
+    Transport.Tcp.on_ack sender seg
+  in
+  let words = minor_words_over ~warm:1_000 ~n:1_000 ack in
+  check_int "every ACK advanced snd_una" (2_000 * cfg.Transport.Tcp_config.mss)
+    (Transport.Tcp.snd_una sender);
+  check_int "no timer fired" 0
+    (Transport.Tcp.timeouts sender + Transport.Tcp.retransmits sender);
+  check_int "RTO and TLP armed" 2 (Scheduler.live_events sched);
+  check_int "minor words over 1000 ACKs" 0 (int_of_float words)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "transport"
@@ -410,7 +507,10 @@ let () =
           Alcotest.test_case "burst loss recovery" `Quick test_tcp_burst_loss_recovers;
           Alcotest.test_case "ecn signal halves window" `Quick test_tcp_ecn_signal_halves_window;
           Alcotest.test_case "receiver reorder buffer" `Quick test_tcp_receiver_reorder_buffer;
+          qc prop_receiver_acks_match_byte_model;
           Alcotest.test_case "ece echo on CE" `Quick test_tcp_ece_echo;
+          Alcotest.test_case "ACK re-arm allocates nothing" `Quick
+            test_ack_rearm_allocates_nothing;
           qc prop_tcp_random_loss_still_delivers;
         ] );
       ( "mptcp",

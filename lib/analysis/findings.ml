@@ -1,13 +1,12 @@
-(* Shared findings emission for the static-analysis drivers.
+(* The one finding type of clove-check.
 
-   clove-sema, clove-race and clove-alloc each produce findings with
-   the same lifecycle: deterministic sorted serialization, a committed
-   baseline keyed by (rule, file, target) — line numbers deliberately
-   excluded so unrelated edits do not churn it — a diff that fails CI
-   only on *new* keys, SARIF 2.1.0 emission, and source-comment
-   suppressions whose justification text is mandatory.  This module is
-   that one code path; the per-tool modules keep only their analysis
-   and convert into [t] at the edge. *)
+   Every analysis — the typed lint rules, the parsetree sema rules,
+   missing-mli, race and alloc — emits [t], with the same lifecycle:
+   deterministic sorted serialization, a committed baseline keyed by
+   (rule, file, target) — line numbers deliberately excluded so
+   unrelated edits do not churn it — a diff that fails CI only on *new*
+   keys, SARIF 2.1.0 emission, and source-comment suppressions read by
+   one scanner.  The analyses keep only their analysis. *)
 
 type t = {
   rule : string;
@@ -19,6 +18,9 @@ type t = {
   extra : (string * Json_out.t) list;  (** tool-specific JSON fields *)
   reason : string option;  (** suppression justification; [None] = active *)
 }
+
+let make ~rule ~file ~line message =
+  { rule; file; line; target = message; message; witness = []; extra = []; reason = None }
 
 let key f = f.rule ^ "|" ^ f.file ^ "|" ^ f.target
 
@@ -37,12 +39,25 @@ let compare_finding a b =
 
 let sort fs = List.sort compare_finding fs
 
+let pp fmt f =
+  Format.fprintf fmt "%s:%d: [%s] %s" f.file f.line f.rule f.message;
+  List.iter (fun w -> Format.fprintf fmt "@\n    %s" w) f.witness
+
 (* ------------------------- source markers ------------------------- *)
 
-(* Suppressions are plain comments in the analyzed sources, e.g.
-   [(* race-allow: reason *)] on the flagged line or the line above,
-   or a file-scoped [(* race-allow-file: reason *)] anywhere.  The
-   cache is per-process; drivers reset it per run. *)
+(* Every suppression is a plain comment in the analyzed source, on the
+   flagged line or the line above it — [(* lint: allow <rule> *)],
+   [(* race-allow: reason *)], [(* alloc-allow: reason *)] — or a
+   file-scoped marker anywhere in the file ([(* race-allow-file: reason
+   *)], and [lint: allow missing-mli]).  This is the one scanner for all
+   of them.  A blank in a marker matches any run of blanks, so
+   [lint:allow] and [lint:  allow] still count; a marker ending in a word
+   character must end on a word boundary, so [lint: allow float-eq] never
+   suppresses a rule named [float-eq-x].  [race-allow:] never matches
+   inside [race-allow-file:]: the colon position differs.  The file cache
+   is per-process; drivers reset it per run. *)
+
+let lint_marker rule = "lint: allow " ^ rule
 
 let source_cache : (string, string array) Hashtbl.t = Hashtbl.create 16
 
@@ -67,52 +82,75 @@ let lines_of ~source_root file =
       Hashtbl.replace source_cache path ls;
       Some ls)
 
-let find_substring ~needle line start =
-  let n = String.length line and m = String.length needle in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = needle then Some i
-    else go (i + 1)
+let is_blank c = c = ' ' || c = '\t'
+
+let is_word c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '-'
+
+(* end position of a match of [marker] starting at [i], if any *)
+let match_at ~marker line i =
+  let n = String.length line and m = String.length marker in
+  let rec go i j =
+    if j = m then Some i
+    else if marker.[j] = ' ' then begin
+      let i = ref i in
+      while !i < n && is_blank line.[!i] do incr i done;
+      go !i (j + 1)
+    end
+    else if i < n && line.[i] = marker.[j] then go (i + 1) (j + 1)
+    else None
   in
-  go start
+  match go i 0 with
+  | Some e when m > 0 && is_word marker.[m - 1] && e < n && is_word line.[e] ->
+    None
+  | r -> r
 
 (* the marker's reason text: everything after the marker, trimmed at
    the closing comment delimiter *)
 let reason_on_line ~marker line =
-  match find_substring ~needle:marker line 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length marker in
-    let rest = String.sub line start (String.length line - start) in
-    let rest =
-      match find_substring ~needle:"*)" rest 0 with
-      | Some stop -> String.sub rest 0 stop
-      | None -> rest
-    in
-    Some (String.trim rest)
+  let n = String.length line in
+  let rec scan i =
+    if i >= n then None
+    else
+      match match_at ~marker line i with
+      | None -> scan (i + 1)
+      | Some start ->
+        let rest = String.sub line start (n - start) in
+        let stop =
+          let rec close k =
+            if k + 1 >= String.length rest then String.length rest
+            else if rest.[k] = '*' && rest.[k + 1] = ')' then k
+            else close (k + 1)
+          in
+          close 0
+        in
+        Some (String.trim (String.sub rest 0 stop))
+  in
+  scan 0
+
+let allow_in ~marker lines line =
+  let check idx =
+    if idx < 0 || idx >= Array.length lines then None
+    else reason_on_line ~marker lines.(idx)
+  in
+  match check (line - 1) with Some r -> Some r | None -> check (line - 2)
+
+let allow_file_in ~marker lines =
+  let rec go idx =
+    if idx >= Array.length lines then None
+    else
+      match reason_on_line ~marker lines.(idx) with
+      | Some r -> Some (idx + 1, r)
+      | None -> go (idx + 1)
+  in
+  go 0
 
 let allow_at ~marker ~source_root file line =
-  match lines_of ~source_root file with
-  | None -> None
-  | Some ls ->
-    let check idx =
-      if idx < 0 || idx >= Array.length ls then None
-      else reason_on_line ~marker ls.(idx)
-    in
-    (match check (line - 1) with Some r -> Some r | None -> check (line - 2))
+  Option.bind (lines_of ~source_root file) (fun ls -> allow_in ~marker ls line)
 
 let allow_file ~marker ~source_root file =
-  match lines_of ~source_root file with
-  | None -> None
-  | Some ls ->
-    let rec go idx =
-      if idx >= Array.length ls then None
-      else
-        match reason_on_line ~marker ls.(idx) with
-        | Some r -> Some (idx + 1, r)
-        | None -> go (idx + 1)
-    in
-    go 0
+  Option.bind (lines_of ~source_root file) (allow_file_in ~marker)
 
 (* ----------------------------- baseline --------------------------- *)
 
@@ -138,25 +176,29 @@ let baseline_json ~tool fs =
                (sort fs)) );
       ])
 
-(* keys present in a committed baseline file; [Error] on parse trouble
-   so CI fails loudly rather than treating everything as new *)
+(* the tool a committed baseline belongs to and its keys; [Error] on
+   parse trouble so CI fails loudly rather than treating everything as
+   new *)
 let load_baseline path =
   match Json_in.of_file path with
   | Error e -> Error e
   | Ok json -> (
-    match Option.bind (Json_in.member "entries" json) Json_in.to_list with
-    | None -> Error "baseline has no \"entries\" array"
-    | Some entries ->
+    let field k j = Option.bind (Json_in.member k j) Json_in.to_string_opt in
+    match
+      (field "tool" json, Option.bind (Json_in.member "entries" json) Json_in.to_list)
+    with
+    | None, _ -> Error "baseline has no \"tool\" string"
+    | _, None -> Error "baseline has no \"entries\" array"
+    | Some tool, Some entries ->
       let keys = Hashtbl.create 32 in
       List.iter
         (fun entry ->
-          let field k = Option.bind (Json_in.member k entry) Json_in.to_string_opt in
-          match (field "rule", field "file", field "target") with
+          match (field "rule" entry, field "file" entry, field "target" entry) with
           | Some rule, Some file, Some target ->
             Hashtbl.replace keys (rule ^ "|" ^ file ^ "|" ^ target) ()
           | _ -> ())
         entries;
-      Ok keys)
+      Ok (tool, keys))
 
 let new_findings fs baseline_keys =
   List.filter (fun f -> is_active f && not (Hashtbl.mem baseline_keys (key f))) fs

@@ -6,7 +6,7 @@
     iteration order (which shifts with bucket counts).  This module holds
     the two perturbation knobs the engine reads, and a driver that
     re-runs a seeded scenario under each perturbation and compares state
-    digests — the dynamic complement to [clove-sema]'s static passes:
+    digests — the dynamic complement to clove-check's static passes:
     whatever order-dependence slips past the AST analysis diverges a
     perturbed digest here.
 

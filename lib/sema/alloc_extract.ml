@@ -52,7 +52,7 @@ let member hot id = Hashtbl.mem hot.h_member id
 let site_str (s : Race_extract.site) =
   Printf.sprintf "%s:%d" s.Race_extract.s_file s.Race_extract.s_line
 
-let hot_region ?(extra_roots = []) (l : Race_extract.linked) =
+let hot_region (l : Race_extract.linked) =
   let node_ids : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (n : Race_extract.node) -> Hashtbl.replace node_ids n.Race_extract.n_id ())
@@ -68,7 +68,6 @@ let hot_region ?(extra_roots = []) (l : Race_extract.linked) =
       add id (Printf.sprintf "dispatch handler registered at %s" (site_str site)))
     l.Race_extract.l_dispatch;
   List.iter (fun id -> add id "named dispatch root") named_roots;
-  List.iter (fun id -> add id "extra root (--root)") extra_roots;
   let sorted_roots =
     Hashtbl.fold (fun id origin acc -> (id, origin) :: acc) roots []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -1,6 +1,6 @@
-(* clove-alloc reporting: hot-region allocation findings with a
-   call-chain witness from a dispatch root, cold-branch demotion,
-   alloc-allow suppressions, and per-kind/per-module rollups.  The
+(* Alloc reporting: hot-region allocation findings with a call-chain
+   witness from a dispatch root, cold-branch demotion, alloc-allow
+   suppressions, and per-kind/per-module rollups.  The
    baseline/JSON/SARIF lifecycle is [Analysis.Findings].
 
    Each finding's identity is ("alloc-<kind>", file, "node: desc") —
@@ -134,10 +134,9 @@ let findings ~source_root (l : Race_extract.linked)
   in
   (Analysis.Findings.sort fs, !sites_total, !sites_cold)
 
-let run ~source_root ?(extra_roots = []) units =
+let run ~source_root units l =
   Analysis.Findings.clear_source_cache ();
-  let l = Race_extract.analyze units in
-  let hot = Alloc_extract.hot_region ~extra_roots l in
+  let hot = Alloc_extract.hot_region l in
   let spans = Alloc_extract.cold_spans units in
   let fs, sites_total, sites_cold = findings ~source_root l hot spans in
   let active = List.filter Analysis.Findings.is_active fs in
@@ -175,19 +174,8 @@ let run ~source_root ?(extra_roots = []) units =
     a_per_module = sorted per_module;
   }
 
-(* ----------------------------- lifecycle -------------------------- *)
-
-let is_active = Analysis.Findings.is_active
-
-let finding_key = Analysis.Findings.key
-
 let baseline_json r =
   Analysis.Findings.baseline_json ~tool:"clove-alloc" r.a_findings
-
-let load_baseline = Analysis.Findings.load_baseline
-
-let new_findings r baseline_keys =
-  Analysis.Findings.new_findings r.a_findings baseline_keys
 
 let rule_descriptions =
   [
@@ -244,7 +232,3 @@ let report_json r ~new_keys =
           Obj (List.map (fun (k, n) -> (k, Int n)) r.a_per_module) );
         ("findings", Analysis.Findings.findings_json ~new_keys r.a_findings);
       ])
-
-let sarif r ~new_keys =
-  Analysis.Findings.sarif ~tool:"clove-alloc" ~rules:rule_descriptions
-    ~new_keys r.a_findings

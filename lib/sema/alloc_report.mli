@@ -1,12 +1,12 @@
-(** clove-alloc reporting: hot-region allocation findings with a
+(** Alloc reporting: hot-region allocation findings with a
     call-chain witness from their dispatch root, [alloc-cold]
     demotion for cold-guarded sites, [(* alloc-allow: reason *)]
     suppressions (empty reason = [alloc-allow-empty] finding), and the
     committed-budget lifecycle via [Analysis.Findings].
 
     Finding identity is ("alloc-<kind>", file, "node: desc") —
-    line-free; a new identity is a new hot-path allocation and exits
-    1 in the driver. *)
+    line-free; a new identity is a new hot-path allocation and fails
+    clove-check. *)
 
 type stats = {
   st_units : int;
@@ -26,19 +26,15 @@ type t = {
   a_per_module : (string * int) list;  (** active sites per file, sorted *)
 }
 
-val run :
-  source_root:string -> ?extra_roots:string list -> Cmt_load.unit_info list -> t
-(** Extract (via [Race_extract.analyze]), compute the hot region and
-    cold spans, and assemble the findings.  [source_root] anchors the
-    relative source paths when scanning for [alloc-allow] comments. *)
-
-val is_active : Analysis.Findings.t -> bool
-val finding_key : Analysis.Findings.t -> string
+val run : source_root:string -> Cmt_load.unit_info list -> Race_extract.linked -> t
+(** Compute the hot region of the linked graph and the cold spans of
+    the given units, and assemble the findings.  [source_root] anchors
+    the relative source paths when scanning for [alloc-allow]
+    comments. *)
 
 val baseline_json : t -> Analysis.Json_out.t
-val load_baseline : string -> ((string, unit) Hashtbl.t, string) result
-val new_findings : t -> (string, unit) Hashtbl.t -> Analysis.Findings.t list
+(** Budget file content (tool ["clove-alloc"]): the active findings'
+    identity keys. *)
 
 val rule_descriptions : (string * string) list
 val report_json : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-val sarif : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t

@@ -65,7 +65,12 @@ let load_file path =
         }
     | _ -> None)
 
+let loads = ref 0
+
+let load_count () = !loads
+
 let load ~root ~source_prefixes =
+  incr loads;
   let keep u =
     source_prefixes = [] || List.exists (fun p -> has_prefix p u.u_source) source_prefixes
   in

@@ -1,7 +1,7 @@
 (** Discovery and loading of compiler-generated [.cmt] typedtrees.
 
-    clove-race (and the typed refinement of clove-sema) work on the
-    typedtree rather than the parsetree: names are resolved, so
+    The typed lint rules, the race analysis and the alloc analysis of
+    clove-check work on the typedtree rather than the parsetree: names are resolved, so
     [Hashtbl.replace] through an alias or an [open] is still seen, and
     idents carry stamps that distinguish a module-level table from a
     shadowing local. *)
@@ -30,6 +30,10 @@ val load : root:string -> source_prefixes:string list -> unit_info list
 (** All implementation units under [root] whose recorded source path
     starts with one of [source_prefixes] (empty list = keep all),
     deduplicated by unit name and sorted by source path. *)
+
+val load_count : unit -> int
+(** Calls to {!load} in this process; the clove-check report records
+    it to show that one run reads the typedtrees once. *)
 
 val default_root : unit -> string
 (** [_build/default] when it exists (running from the repo root),

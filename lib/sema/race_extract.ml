@@ -910,7 +910,12 @@ let extract_unit prog (u : Cmt_load.unit_info) =
   prog.p_files <- ctx.file :: prog.p_files;
   ctx.stamp_nodes
 
+let analyses = ref 0
+
+let analyze_count () = !analyses
+
 let analyze units =
+  incr analyses;
   let prog =
     { p_nodes = Hashtbl.create 512; p_roots = []; p_dispatch = []; p_files = [] }
   in

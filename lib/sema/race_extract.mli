@@ -105,3 +105,7 @@ val analyze : Cmt_load.unit_info list -> linked
     stamp, cross-module by (module, value) name) and parallel-entry
     roots.  Unresolvable edges — calls through parameters or stored
     closures — are dropped. *)
+
+val analyze_count : unit -> int
+(** Calls to {!analyze} in this process; the clove-check report records
+    it to show that race and alloc share one linked graph. *)

@@ -1,5 +1,5 @@
-(* clove-race reporting: witness-carrying footprint fixpoint, root
-   analysis, suppressions, baseline comparison, JSON and SARIF output.
+(* Race reporting: witness-carrying footprint fixpoint, root analysis,
+   suppressions and the race section of the clove-check report.
 
    The fixpoint computes, per function, a *summary*: a map from
    mutation target (module-level value, captured variable, or a named
@@ -34,20 +34,6 @@ open Race_lattice
 
 type hop = { h_site : Race_extract.site; h_desc : string }
 
-type finding = {
-  f_rule : string;
-  f_file : string;  (** file of the mutation site *)
-  f_line : int;
-  f_target : string;  (** e.g. ["Audit.n_dropped"], ["capture memo"] *)
-  f_roots : string list;  (** parallel roots that reach it, sorted *)
-  f_witness : string list;  (** rendered chain, root first *)
-  f_reason : string option;  (** race-allow justification; [None] = active *)
-}
-
-let finding_key f = f.f_rule ^ "|" ^ f.f_file ^ "|" ^ f.f_target
-
-let is_active f = f.f_reason = None
-
 type stats = {
   st_units : int;
   st_nodes : int;
@@ -58,7 +44,7 @@ type stats = {
 }
 
 type t = {
-  r_findings : finding list;  (** suppressed included, sorted *)
+  r_findings : Analysis.Findings.t list;  (** suppressed included, sorted *)
   r_stats : stats;
   r_roots : (string * Race_extract.site) list;
   r_files : string list;
@@ -253,29 +239,39 @@ let summaries (l : Race_extract.linked) =
   done;
   summary
 
-(* --------------------------- suppressions ------------------------- *)
-
-(* Marker scanning lives in [Analysis.Findings]; the line-scope marker
-   is ["race-allow:"], and a whole file of intentionally serial state
-   can carry one ["race-allow-file:"] marker instead of a pasted
-   justification per site.  [race-allow:] never matches inside
-   [race-allow-file:] — the colon position differs. *)
-
-let race_allow_at ~source_root file line =
-  Analysis.Findings.allow_at ~marker:"race-allow:" ~source_root file line
-
-let race_allow_file ~source_root file =
-  Analysis.Findings.allow_file ~marker:"race-allow-file:" ~source_root file
-
 (* ----------------------------- findings --------------------------- *)
 
 let render_hop h =
   Printf.sprintf "%s:%d %s" h.h_site.Race_extract.s_file h.h_site.Race_extract.s_line
     h.h_desc
 
+(* Suppressions are source comments read by [Analysis.Findings]: the
+   line-scope marker is ["race-allow:"], and a whole file of
+   intentionally serial state can carry one ["race-allow-file:"] marker
+   instead of a pasted justification per site.  An unjustified marker of
+   either scope turns the finding into [race-allow-empty]. *)
+let suppression ~source_root file line rule =
+  let allow =
+    match
+      Analysis.Findings.allow_at ~marker:"race-allow:" ~source_root file line
+    with
+    | Some r -> Some r
+    | None ->
+      Option.map snd
+        (Analysis.Findings.allow_file ~marker:"race-allow-file:" ~source_root
+           file)
+  in
+  match allow with
+  | Some "" -> ("race-allow-empty", None)
+  | Some r -> (rule, Some r)
+  | None -> (rule, None)
+
 let findings ~source_root (l : Race_extract.linked) summary =
-  (* merge across roots: one finding per (rule, file, target) *)
-  let acc : (string, finding) Hashtbl.t = Hashtbl.create 32 in
+  (* merge across roots: one finding per (rule, file, target), carrying
+     the sorted roots that reach it and the shortest witness *)
+  let acc : (string, Analysis.Findings.t * string list) Hashtbl.t =
+    Hashtbl.create 32
+  in
   List.iter
     (fun (root_id, _spawn) ->
       match Hashtbl.find_opt summary root_id with
@@ -291,66 +287,54 @@ let findings ~source_root (l : Race_extract.linked) summary =
             in
             match rule with
             | None -> ()
-            | Some rule ->
+            | Some rule -> (
               let msite = (List.nth hops (List.length hops - 1)).h_site in
               let file = msite.Race_extract.s_file in
               let line = msite.Race_extract.s_line in
-              let rule, reason =
-                match race_allow_at ~source_root file line with
-                | Some "" -> ("race-allow-empty", None)
-                | Some r -> (rule, Some r)
-                | None -> (
-                  (* file-scope fallback; an unjustified file marker is
-                     itself a finding, same as line-scope *)
-                  match race_allow_file ~source_root file with
-                  | Some (_, "") -> ("race-allow-empty", None)
-                  | Some (_, r) -> (rule, Some r)
-                  | None -> (rule, None))
-              in
+              let rule, reason = suppression ~source_root file line rule in
               let target = display_of_key key in
-              let k = rule ^ "|" ^ file ^ "|" ^ target in
-              let witness = root_id :: List.map render_hop hops in
-              (match Hashtbl.find_opt acc k with
-              | None ->
-                Hashtbl.replace acc k
-                  {
-                    f_rule = rule;
-                    f_file = file;
-                    f_line = line;
-                    f_target = target;
-                    f_roots = [ root_id ];
-                    f_witness = witness;
-                    f_reason = reason;
-                  }
-              | Some f ->
-                let witness =
-                  (* keep the shortest witness; ties by root order *)
-                  if List.length witness < List.length f.f_witness then witness
-                  else f.f_witness
+              let f =
+                {
+                  (Analysis.Findings.make ~rule ~file ~line "") with
+                  target;
+                  witness = root_id :: List.map render_hop hops;
+                  reason;
+                }
+              in
+              let k = Analysis.Findings.key f in
+              match Hashtbl.find_opt acc k with
+              | None -> Hashtbl.replace acc k (f, [ root_id ])
+              | Some (f0, roots) ->
+                (* keep the shortest witness; ties by root order *)
+                let f0 =
+                  if List.length f.witness < List.length f0.witness then
+                    { f0 with witness = f.witness }
+                  else f0
                 in
                 Hashtbl.replace acc k
-                  {
-                    f with
-                    f_roots = List.sort_uniq String.compare (root_id :: f.f_roots);
-                    f_witness = witness;
-                  }))
+                  (f0, List.sort_uniq String.compare (root_id :: roots))))
           (sorted_entries t))
     l.Race_extract.l_roots;
-  Hashtbl.fold (fun _ f acc -> f :: acc) acc []
-  |> List.sort (fun a b ->
-         match String.compare a.f_file b.f_file with
-         | 0 -> (
-           match Int.compare a.f_line b.f_line with
-           | 0 -> (
-             match String.compare a.f_rule b.f_rule with
-             | 0 -> String.compare a.f_target b.f_target
-             | c -> c)
-           | c -> c)
-         | c -> c)
+  Hashtbl.fold
+    (fun _ ((f : Analysis.Findings.t), roots) acc ->
+      {
+        f with
+        message =
+          Printf.sprintf "%s mutated from parallel root(s) %s" f.target
+            (String.concat ", " roots);
+        extra =
+          [
+            ( "roots",
+              Analysis.Json_out.List
+                (List.map (fun r -> Analysis.Json_out.String r) roots) );
+          ];
+      }
+      :: acc)
+    acc []
+  |> Analysis.Findings.sort
 
-let run ~source_root units =
+let run ~source_root units l =
   Analysis.Findings.clear_source_cache ();
-  let l = Race_extract.analyze units in
   let summary = summaries l in
   let fs = findings ~source_root l summary in
   let mutations, protected =
@@ -380,42 +364,8 @@ let run ~source_root units =
     r_files = l.Race_extract.l_files;
   }
 
-(* -------------------- shared-emission conversion ------------------ *)
-
-(* [Analysis.Findings] owns the baseline/JSON/SARIF lifecycle; the
-   race-specific record converts at this edge.  The identity key is
-   unchanged ("rule|file|target"). *)
-let to_shared f =
-  {
-    Analysis.Findings.rule = f.f_rule;
-    file = f.f_file;
-    line = f.f_line;
-    target = f.f_target;
-    message =
-      Printf.sprintf "%s mutated from parallel root(s) %s" f.f_target
-        (String.concat ", " f.f_roots);
-    witness = f.f_witness;
-    extra =
-      [
-        ( "roots",
-          Analysis.Json_out.List
-            (List.map (fun r -> Analysis.Json_out.String r) f.f_roots) );
-      ];
-    reason = f.f_reason;
-  }
-
-(* ----------------------------- baseline --------------------------- *)
-
 let baseline_json r =
-  Analysis.Findings.baseline_json ~tool:"clove-race"
-    (List.map to_shared r.r_findings)
-
-let load_baseline = Analysis.Findings.load_baseline
-
-let new_findings r baseline_keys =
-  List.filter
-    (fun f -> is_active f && not (Hashtbl.mem baseline_keys (finding_key f)))
-    r.r_findings
+  Analysis.Findings.baseline_json ~tool:"clove-race" r.r_findings
 
 (* ------------------------------ output ---------------------------- *)
 
@@ -444,9 +394,7 @@ let report_json r ~new_keys =
               ("protected_sites", Int r.r_stats.st_protected);
               ("parallel_roots", Int r.r_stats.st_roots);
             ] );
-        ( "findings",
-          Analysis.Findings.findings_json ~new_keys
-            (List.map to_shared r.r_findings) );
+        ("findings", Analysis.Findings.findings_json ~new_keys r.r_findings);
       ])
 
 let rule_descriptions =
@@ -461,7 +409,3 @@ let rule_descriptions =
       "a race-allow suppression (line- or file-scope) has no \
        justification text" );
   ]
-
-let sarif r ~new_keys =
-  Analysis.Findings.sarif ~tool:"clove-race" ~rules:rule_descriptions ~new_keys
-    (List.map to_shared r.r_findings)

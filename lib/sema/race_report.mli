@@ -1,7 +1,8 @@
-(** clove-race reporting: the witness-carrying footprint fixpoint,
-    root analysis, [(* race-allow: reason *)] line and
-    [(* race-allow-file: reason *)] file suppressions, baseline
-    comparison, and JSON / SARIF emission (via [Analysis.Findings]).
+(** Race reporting: the witness-carrying footprint fixpoint, root
+    analysis, and [(* race-allow: reason *)] line and
+    [(* race-allow-file: reason *)] file suppressions.  Findings are
+    {!Analysis.Findings.t}; a file marker suppresses every finding in
+    the file, line-scope markers take precedence.
 
     Rules: [race-shared-mut] (module-level state mutated by a
     domain-parallel task without atomic/lock/DLS discipline),
@@ -10,24 +11,6 @@
     justifications are mandatory). *)
 
 type hop = { h_site : Race_extract.site; h_desc : string }
-
-type finding = {
-  f_rule : string;
-  f_file : string;  (** file of the mutation site *)
-  f_line : int;
-  f_target : string;  (** e.g. ["Audit.n_dropped"], ["capture memo"] *)
-  f_roots : string list;  (** parallel roots that reach it, sorted *)
-  f_witness : string list;  (** rendered call chain, root first *)
-  f_reason : string option;  (** race-allow justification; [None] = active *)
-}
-
-val finding_key : finding -> string
-(** Baseline identity: ["rule|file|target"].  Line numbers are
-    deliberately excluded so unrelated edits do not churn the
-    baseline. *)
-
-val is_active : finding -> bool
-(** Not suppressed by a justified [race-allow]. *)
 
 type stats = {
   st_units : int;
@@ -39,36 +22,22 @@ type stats = {
 }
 
 type t = {
-  r_findings : finding list;  (** suppressed included; sorted by (file, line, rule, target) *)
+  r_findings : Analysis.Findings.t list;
+      (** suppressed included; sorted by (file, line, rule, target); the
+          ["roots"] extra field lists the parallel roots reaching each *)
   r_stats : stats;
   r_roots : (string * Race_extract.site) list;
   r_files : string list;
 }
 
-val run : source_root:string -> Cmt_load.unit_info list -> t
-(** Extract, link, solve, and report.  [source_root] anchors the
-    relative source paths recorded in the [.cmt]s when scanning for
-    [race-allow] comments. *)
+val run : source_root:string -> Cmt_load.unit_info list -> Race_extract.linked -> t
+(** Solve and report over the linked graph of the given units.
+    [source_root] anchors the relative source paths recorded in the
+    [.cmt]s when scanning for [race-allow] comments. *)
 
 val baseline_json : t -> Analysis.Json_out.t
-(** Baseline file content: the active findings' identity keys. *)
+(** Baseline file content (tool ["clove-race"]): the active findings'
+    identity keys. *)
 
-val load_baseline : string -> ((string, unit) Hashtbl.t, string) result
-
-val new_findings : t -> (string, unit) Hashtbl.t -> finding list
-(** Active findings whose identity key is not in the baseline. *)
-
+val rule_descriptions : (string * string) list
 val report_json : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-val sarif : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-
-(**/**)
-
-val race_allow_at : source_root:string -> string -> int -> string option
-(** Exposed for tests: the line-scope suppression reason at
-    (file, line), if any. *)
-
-val race_allow_file : source_root:string -> string -> (int * string) option
-(** Exposed for tests: the first [(* race-allow-file: reason *)]
-    marker in the file, as [(line, reason)].  A file marker suppresses
-    every finding in the file (unjustified = finding, same as
-    line-scope); line-scope markers take precedence. *)

@@ -1,5 +1,3 @@
-type finding = { file : string; line : int; rule : string; message : string }
-
 let rules =
   [
     ( "sema-hashtbl-order",
@@ -22,10 +20,6 @@ let rules =
       "raw Sim_time ns conversion outside the conversion whitelist" );
     ( "sema-unit-mix",
       "+/- combining a time-looking operand with a byte/packet-looking one" );
-    ( "sema-domain-parallel",
-      "Domain/Mutex/Condition/Atomic/Thread primitive outside the parallel \
-       runtime whitelist: simulation code must stay single-domain \
-       deterministic, parallelism lives in Engine.Domain_pool" );
     ("sema-parse-error", "source file failed to parse");
   ]
 
@@ -50,21 +44,6 @@ let protocol_constructors =
 
 let time_boundary_whitelist =
   [ "lib/engine/"; "lib/transport/rtt_estimator.ml"; "lib/netsim/dre.ml" ]
-
-(* The only files allowed to touch multicore primitives: the pool itself,
-   the scheduler's atomic id counter, and the packet layer's atomic uid /
-   domain-local free list.  Everything else must go through
-   Engine.Domain_pool so experiment code cannot grow its own ad hoc
-   threading. *)
-let parallel_whitelist =
-  [
-    "lib/engine/domain_pool.ml";
-    "lib/engine/scheduler.ml";
-    "lib/netsim/packet.ml";
-    "lib/netsim/packet_pool.ml";
-  ]
-
-let parallel_modules = [ "Domain"; "Mutex"; "Condition"; "Atomic"; "Thread" ]
 
 let raw_time_conversions = [ "to_ns"; "of_ns"; "span_ns"; "span_of_ns" ]
 
@@ -252,7 +231,9 @@ let first_positional args =
 let collect_findings ~file (str : Parsetree.structure) =
   let open Parsetree in
   let findings = ref [] in
-  let add ~line ~rule message = findings := { file; line; rule; message } :: !findings in
+  let add ~line ~rule message =
+    findings := Analysis.Findings.make ~rule ~file ~line message :: !findings
+  in
   let check_expr ex =
     match ex.pexp_desc with
     (* D1: order-sensitive Hashtbl traversal *)
@@ -323,14 +304,6 @@ let collect_findings ~file (str : Parsetree.structure) =
              "%s reads the wall clock; simulation time comes from \
               Engine.Sim_time"
              (String.concat "." parts))
-      | m :: _ :: _ when List.mem m parallel_modules ->
-        if not (has_prefix_in parallel_whitelist file) then
-          add ~line:(line_of ex.pexp_loc) ~rule:"sema-domain-parallel"
-            (Printf.sprintf
-               "%s: multicore primitives are confined to Engine.Domain_pool \
-                and the packet layer; fan work out with Domain_pool.map \
-                instead"
-               (String.concat "." parts))
       | _ -> (
         match last_two parts with
         | Some ("Sim_time", f) when List.mem f raw_time_conversions ->
@@ -368,25 +341,19 @@ let collect_findings ~file (str : Parsetree.structure) =
   it.Ast_iterator.structure it str;
   List.rev !findings
 
-let suppressed lines (f : finding) =
-  let annotated l =
-    l >= 1 && l <= Array.length lines
-    && List.mem f.rule (Analysis.Lint.allowed_rules_on_line lines.(l - 1))
-  in
-  annotated f.line || annotated (f.line - 1)
-
 let analyze_source ~file source =
   match parse_with ~file Parse.implementation source with
   | exception _ ->
-    [ { file; line = 1; rule = "sema-parse-error"; message = "failed to parse" } ]
+    [ Analysis.Findings.make ~rule:"sema-parse-error" ~file ~line:1 "failed to parse" ]
   | str ->
     let lines = Array.of_list (String.split_on_char '\n' source) in
     collect_findings ~file str
-    |> List.filter (fun f -> not (suppressed lines f))
-    |> List.sort (fun a b ->
-           match Int.compare a.line b.line with
-           | 0 -> String.compare a.rule b.rule
-           | c -> c)
+    |> List.filter (fun (f : Analysis.Findings.t) ->
+           Analysis.Findings.allow_in
+             ~marker:(Analysis.Findings.lint_marker f.rule)
+             lines f.line
+           = None)
+    |> Analysis.Findings.sort
 
 (* --------------------------- cross-module ------------------------- *)
 
@@ -508,86 +475,28 @@ let unused_exports ~ml_sources ~mli_sources =
 
 (* ------------------------------- report --------------------------- *)
 
-(* the parsetree rules carry no stable line-free identity, so the
-   message doubles as the target; suppressions are in-source
-   [lint: allow] comments handled during analysis, never here *)
-let to_shared f =
-  {
-    Analysis.Findings.rule = f.rule;
-    file = f.file;
-    line = f.line;
-    target = f.message;
-    message = f.message;
-    witness = [];
-    extra = [];
-    reason = None;
-  }
-
-let report_json ~findings ~graph ~unused ~files_analyzed =
+let report_json ~graph ~unused =
   (* deterministic artifact ordering, independent of traversal order *)
-  let findings =
-    List.sort
-      (fun a b ->
-        match String.compare a.file b.file with
-        | 0 -> (
-          match Int.compare a.line b.line with
-          | 0 -> String.compare a.rule b.rule
-          | c -> c)
-        | c -> c)
-      findings
-  in
   let graph =
     List.sort (fun a b -> String.compare a.mi_module b.mi_module) graph
   in
-  let unused =
-    List.sort
-      (fun (m1, v1, f1) (m2, v2, f2) ->
-        match String.compare m1 m2 with
-        | 0 -> (
-          match String.compare v1 v2 with 0 -> String.compare f1 f2 | c -> c)
-        | c -> c)
-      unused
-  in
   let open Analysis.Json_out in
-  Obj
-    [
-      ("tool", String "clove-sema");
-      ("version", Int 1);
-      ("files_analyzed", Int files_analyzed);
-      ( "rules",
-        List
-          (List.map
-             (fun (id, descr) ->
-               Obj [ ("id", String id); ("description", String descr) ])
-             rules) );
-      ( "findings",
-        (* shared emission path with clove-race/clove-alloc; sema has
-           no baseline, so nothing is ever "new" *)
-        Analysis.Findings.findings_json ~new_keys:(Hashtbl.create 1)
-          (List.map to_shared findings) );
-      ( "call_graph",
-        List
-          (List.map
-             (fun mi ->
-               Obj
-                 [
-                   ("module", String mi.mi_module);
-                   ("file", String mi.mi_file);
-                   ("deps", List (List.map (fun d -> String d) mi.mi_deps));
-                 ])
-             graph) );
-      ( "unused_exports",
-        List
-          (List.map
-             (fun (m, v, file) ->
-               Obj
-                 [
-                   ("module", String m);
-                   ("value", String v);
-                   ("file", String file);
-                 ])
-             unused) );
-    ]
-
-let pp_finding fmt f =
-  Format.fprintf fmt "%s:%d: [%s] %s" f.file f.line f.rule f.message
+  [
+    ( "call_graph",
+      List
+        (List.map
+           (fun mi ->
+             Obj
+               [
+                 ("module", String mi.mi_module);
+                 ("file", String mi.mi_file);
+                 ("deps", List (List.map (fun d -> String d) mi.mi_deps));
+               ])
+           graph) );
+    ( "unused_exports",
+      List
+        (List.map
+           (fun (m, v, file) ->
+             Obj [ ("module", String m); ("value", String v); ("file", String file) ])
+           unused) );
+  ]

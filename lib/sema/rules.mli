@@ -1,8 +1,8 @@
-(** clove-sema: an AST-level determinism and unit-safety analyzer.
+(** The parsetree rules of clove-check: determinism and unit safety.
 
-    Where clove-lint ({!Analysis.Lint}) is lexical, clove-sema parses the
-    real OCaml AST with [compiler-libs] and checks properties that need
-    syntactic structure:
+    The rules parse each source with [compiler-libs] and check
+    properties that need syntactic structure (the typed lint rules and
+    [sema-domain-parallel] are in {!Typed_rules}):
 
     {b Determinism passes}
     - [sema-hashtbl-order]: a [Hashtbl.iter]/[Hashtbl.fold] whose closure
@@ -35,17 +35,15 @@
       identifier vocabulary) like a time quantity on one side and a
       byte/packet quantity on the other.
 
-    Findings honour the same suppression annotation as clove-lint, on the
-    finding's line or the line above:
+    Findings honour the same suppression annotation as the typed rules,
+    on the finding's line or the line above:
 
     {[ (* lint: allow <rule> — justification *) ]}
 
-    The analyzer also builds a cross-module report (module dependency
+    This module also builds a cross-module report (module dependency
     graph and exports never referenced outside their module) emitted as
     JSON for CI consumption; that part is informational and never fails
     the build. *)
-
-type finding = { file : string; line : int; rule : string; message : string }
 
 val rules : (string * string) list
 (** [(rule_id, description)] for every implemented rule. *)
@@ -60,7 +58,7 @@ val time_boundary_whitelist : string list
     the time module itself ([lib/engine/]) and the two numeric-filter
     leaves that legitimately work on ns floats ([rtt_estimator], [dre]). *)
 
-val analyze_source : file:string -> string -> finding list
+val analyze_source : file:string -> string -> Analysis.Findings.t list
 (** Parse one [.ml] source and run every per-file pass, honouring
     suppression annotations.  A file that does not parse yields a single
     [sema-parse-error] finding.  Findings are in line order. *)
@@ -84,13 +82,8 @@ val unused_exports :
     Informational: an export may be consumed by code outside the scan. *)
 
 val report_json :
-  findings:finding list ->
   graph:module_info list ->
   unused:(string * string * string) list ->
-  files_analyzed:int ->
-  Analysis.Json_out.t
-(** The CI artifact: findings, rule table, call-graph and unused-export
-    report as one JSON document. *)
-
-val pp_finding : Format.formatter -> finding -> unit
-(** [file:line: [rule] message] *)
+  (string * Analysis.Json_out.t) list
+(** The report fields ["call_graph"] and ["unused_exports"],
+    deterministically ordered. *)

@@ -1,10 +1,11 @@
 (* A deliberately order-dependent "load balancer" used as an analyzer
-   fixture: each definition below violates one clove-sema determinism or
-   unit-safety rule.  The [fixtures] directory has no dune stanza, so
-   this file is never compiled, and the clove-sema driver skips it
-   unless pointed at it explicitly:
+   fixture: each definition below violates one determinism or
+   unit-safety rule of clove-check's parsetree pass.  It is compiled
+   (sema_fixtures, never linked) so that clove-check, which needs a
+   typedtree for every .ml it scans, can run over it; the default run
+   skips [fixtures] directories unless pointed at one explicitly:
 
-     clove-sema test/fixtures    # must exit 1, naming every rule *)
+     clove-check test/fixtures    # must exit 1, naming every rule *)
 
 let weights : (int, float) Hashtbl.t = Hashtbl.create 16
 let log = Buffer.create 256

@@ -19,7 +19,8 @@ let load_fixture_units () =
   Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ]
 
 let run_fixtures () =
-  Sema.Alloc_report.run ~source_root:".." (load_fixture_units ())
+  let units = load_fixture_units () in
+  Sema.Alloc_report.run ~source_root:".." units (Sema.Race_extract.analyze units)
 
 let fixture_result = lazy (run_fixtures ())
 
@@ -31,7 +32,7 @@ let test_fixtures_load () =
 
 let active_findings () =
   let r = Lazy.force fixture_result in
-  List.filter Sema.Alloc_report.is_active r.Sema.Alloc_report.a_findings
+  List.filter Analysis.Findings.is_active r.Sema.Alloc_report.a_findings
 
 let test_hot_flagged_with_witness () =
   let open Analysis.Findings in
@@ -94,7 +95,9 @@ let test_deterministic_output () =
     ( Analysis.Json_out.to_string
         (Sema.Alloc_report.report_json r ~new_keys:(Hashtbl.create 1)),
       Analysis.Json_out.to_string
-        (Sema.Alloc_report.sarif r ~new_keys:(Hashtbl.create 1)) )
+        (Analysis.Findings.sarif ~tool:"clove-check"
+           ~rules:Sema.Alloc_report.rule_descriptions ~new_keys:(Hashtbl.create 1)
+           r.Sema.Alloc_report.a_findings) )
   in
   let j1, s1 = render () in
   let j2, s2 = render () in

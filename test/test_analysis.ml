@@ -1,83 +1,108 @@
-(* Tests for the correctness-tooling layer: the clove-lint lexical rules
-   and the runtime invariant auditor (packet conservation, monotonic
-   clocks, per-flowlet FIFO, weight normalization, determinism). *)
+(* Tests for the correctness-tooling layer: the typed lint rules of
+   clove-check and the runtime invariant auditor (packet conservation,
+   monotonic clocks, per-flowlet FIFO, weight normalization,
+   determinism). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 module Audit = Analysis.Audit
-module Lint = Analysis.Lint
 
 open Experiments
 
 (* ------------------------------ lint ------------------------------- *)
 
-let lint src = Lint.check_source ~file:"fixture.ml" src
-let count src = List.length (lint src)
+(* The typed rules run on the compiled twins under test/fixtures/lint/:
+   tests run from _build/default/test, so the lint_fixtures library's
+   .cmt files are under fixtures/ and the repo's build root is .. *)
+let lint_units =
+  lazy
+    (Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/lint/" ])
+
+let lint name =
+  match
+    List.find_opt
+      (fun u -> u.Sema.Cmt_load.u_short = name)
+      (Lazy.force lint_units)
+  with
+  | Some u -> Sema.Typed_rules.analyze ~source_root:".." u
+  | None -> Alcotest.failf "fixture unit %s not loaded" name
+
+(* the lines flagged under [rule] in the fixture unit [name] *)
+let flagged rule name =
+  List.filter_map
+    (fun (f : Analysis.Findings.t) -> if f.rule = rule then Some f.line else None)
+    (lint name)
+
+let check_lines what expected actual = Alcotest.(check (list int)) what expected actual
+let clean name = check_int (name ^ " is clean") 0 (List.length (lint name))
 
 let test_lint_obj_magic () =
-  check_int "flagged" 1 (count "let x = Obj.magic 0\n");
-  check_int "suppressed by preceding line" 0
-    (count
-       "(* sentinel is never read back -- lint: allow obj-magic *)\n\
-        let x = Obj.magic 0\n");
-  check_int "suppressed on same line" 0
-    (count "let x = Obj.magic 0 (* lint: allow obj-magic *)\n")
+  check_lines "sentinel flagged" [ 2 ] (flagged "obj-magic" "Obj_magic_flagged");
+  (* suppressed by the preceding line and on the same line; Obj.magic in
+     a comment or a string literal is not an expression, so never fires *)
+  clean "Obj_magic_clean"
 
 let test_lint_poly_compare () =
-  check_int "List.sort compare" 1 (count "let s = List.sort compare xs\n");
-  check_int "bare compare application" 1 (count "let c = compare a b\n");
-  check_int "Stdlib.compare" 1 (count "let c = Stdlib.compare a b\n");
-  check_int "Int.compare clean" 0 (count "let s = List.sort Int.compare xs\n");
-  check_int "definition clean" 0 (count "let compare a b = Int.compare a b\n");
-  check_int "labelled arg clean" 0 (count "let s = sort ~compare xs\n")
+  check_lines "passed, applied and qualified" [ 2; 3; 4 ]
+    (flagged "poly-compare" "Poly_compare_flagged");
+  (* Int.compare, a user-defined compare used bare, a labelled argument *)
+  clean "Poly_compare_clean"
 
 let test_lint_bare_ignore () =
-  check_int "ignore (...)" 1 (count "ignore (f x);\n");
-  check_int "multiline ignore" 1 (count "ignore\n  (f x);\n");
-  check_int "typed let clean" 0 (count "let (_ : int) = f x in\n");
-  check_int "ignore of a variable clean" 0 (count "ignore x;\n");
-  check_int "suppressed" 0
-    (count "(* thunk result unused -- lint: allow bare-ignore *)\nignore (f x);\n")
+  (* ignore (...), multiline ignore, ignore @@ e, e |> ignore *)
+  check_lines "computed results" [ 4; 7; 10; 11 ]
+    (flagged "bare-ignore" "Bare_ignore_flagged");
+  (* let (_ : ty), a variable, a field read, a suppression, a string *)
+  clean "Bare_ignore_clean"
 
 let test_lint_hashtbl_find () =
-  check_int "Hashtbl.find" 1 (count "let v = Hashtbl.find tbl k in\n");
-  check_int "find_opt clean" 0 (count "let v = Hashtbl.find_opt tbl k in\n");
-  check_int "find_all clean" 0 (count "let v = Hashtbl.find_all tbl k in\n");
-  check_int "suppressed" 0
-    (count
-       "(* key inserted above -- lint: allow hashtbl-find *)\n\
-        let v = Hashtbl.find tbl k in\n")
+  check_lines "qualified and through a local open" [ 2; 3 ]
+    (flagged "hashtbl-find" "Hashtbl_find_flagged");
+  (* find_opt, find_all, a suppression *)
+  clean "Hashtbl_find_clean"
 
 let test_lint_float_eq () =
-  check_int "if x = 1.0" 1 (count "if x = 1.0 then y\n");
-  check_int "literal first" 1 (count "if 1.0 = x then y\n");
-  check_int "guard with &&" 1 (count "ready && x = 0.5\n");
-  check_int "binding is clean" 0 (count "let x = 1.0 in\n");
-  check_int "<= is clean" 0 (count "if t.total <= 0.0 then z\n");
-  check_int "int equality clean" 0 (count "if x = 10 then y\n")
-
-let test_lint_masking () =
-  check_int "comments and strings never fire" 0
-    (count
-       "(* compare Obj.magic ignore (x) Hashtbl.find *)\n\
-        let s = \"if x = 1.0 then Obj.magic\" in\n\
-        let c = 'c' in\n");
-  check_int "nested comment" 0
-    (count "(* outer (* ignore (f x) *) still comment *)\nlet y = 1\n")
+  check_lines "literal either side, in a guard, <>" [ 2; 3; 4; 5 ]
+    (flagged "float-eq" "Float_eq_flagged");
+  (* a binding, <=, int equality, a tolerance, a suppression *)
+  clean "Float_eq_clean"
 
 let test_lint_missing_mli () =
   let fs =
-    Lint.check_interface_presence
+    Sema.Typed_rules.missing_mli ~source_root:".."
       ~ml_files:[ "lib/foo/a.ml"; "lib/foo/b.ml" ]
       ~mli_files:[ "lib/foo/a.mli" ]
   in
   check_int "one module uncovered" 1 (List.length fs);
   match fs with
   | [ f ] ->
-    check_bool "names the .ml" true (f.Lint.file = "lib/foo/b.ml");
-    check_bool "right rule" true (f.Lint.rule = "missing-mli")
+    check_bool "names the .ml" true (f.Analysis.Findings.file = "lib/foo/b.ml");
+    check_bool "right rule" true (f.Analysis.Findings.rule = "missing-mli")
   | _ -> Alcotest.fail "expected exactly one finding"
+
+let test_missing_typedtree () =
+  (* an .ml that was never compiled must stop clove-check with exit 2 and
+     a message naming it, not pass with the typed rules silently skipped *)
+  let dir = Filename.temp_dir "clove_check" "" in
+  let ml = Filename.concat dir "orphan.ml" in
+  let out = Filename.concat dir "out.txt" in
+  Out_channel.with_open_text ml (fun oc -> output_string oc "let x = Obj.magic 0\n");
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/clove_check.exe" ~stdout:out ~stderr:out
+         [ "-o"; Filename.concat dir "report.json"; dir ])
+  in
+  let output = In_channel.with_open_text out In_channel.input_all in
+  List.iter Sys.remove [ ml; out ];
+  Sys.rmdir dir;
+  check_int "exit status" 2 code;
+  let mentions sub =
+    let n = String.length output and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub output i m = sub || go (i + 1)) in
+    go 0
+  in
+  check_bool ("names the file: " ^ output) true (mentions "orphan.ml")
 
 (* --------------------------- audit: units -------------------------- *)
 
@@ -257,8 +282,9 @@ let () =
           Alcotest.test_case "bare-ignore" `Quick test_lint_bare_ignore;
           Alcotest.test_case "hashtbl-find" `Quick test_lint_hashtbl_find;
           Alcotest.test_case "float-eq" `Quick test_lint_float_eq;
-          Alcotest.test_case "masking" `Quick test_lint_masking;
           Alcotest.test_case "missing-mli" `Quick test_lint_missing_mli;
+          Alcotest.test_case "missing typedtree exits 2" `Quick
+            test_missing_typedtree;
         ] );
       ( "audit-units",
         [

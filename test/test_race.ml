@@ -17,7 +17,8 @@ let load_fixture_units () =
   Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/race/" ]
 
 let run_fixtures () =
-  Sema.Race_report.run ~source_root:".." (load_fixture_units ())
+  let units = load_fixture_units () in
+  Sema.Race_report.run ~source_root:".." units (Sema.Race_extract.analyze units)
 
 let fixture_result = lazy (run_fixtures ())
 
@@ -27,46 +28,55 @@ let test_fixtures_load () =
   Alcotest.(check bool) "racy unit loaded" true (List.mem "Racy_chain" names);
   Alcotest.(check bool) "safe unit loaded" true (List.mem "Safe_chain" names)
 
+(* the parallel roots reaching a finding *)
+let roots_of (f : Analysis.Findings.t) =
+  match List.assoc_opt "roots" f.extra with
+  | Some (Analysis.Json_out.List rs) ->
+    List.filter_map (function Analysis.Json_out.String r -> Some r | _ -> None) rs
+  | _ -> []
+
+let active_findings () =
+  List.filter Analysis.Findings.is_active
+    (Lazy.force fixture_result).Sema.Race_report.r_findings
+
 let test_racy_flagged () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
-  let active = List.filter is_active r.r_findings in
+  let open Analysis.Findings in
+  let active = active_findings () in
   let f =
-    match List.find_opt (fun f -> f.f_target = "Racy_chain.stats") active with
+    match List.find_opt (fun f -> f.target = "Racy_chain.stats") active with
     | Some f -> f
     | None ->
       Alcotest.failf "Racy_chain.stats not flagged; findings: %s"
-        (String.concat ", " (List.map (fun f -> f.f_target) active))
+        (String.concat ", " (List.map (fun f -> f.target) active))
   in
-  Alcotest.(check string) "rule" "race-shared-mut" f.f_rule;
-  Alcotest.(check string) "file" "test/fixtures/race/racy_chain.ml" f.f_file;
-  Alcotest.(check bool) "rooted at record" true (List.mem "Racy_chain.record" f.f_roots);
-  let witness_has sub = List.exists (fun w -> contains w sub) f.f_witness in
+  Alcotest.(check string) "rule" "race-shared-mut" f.rule;
+  Alcotest.(check string) "file" "test/fixtures/race/racy_chain.ml" f.file;
+  Alcotest.(check bool) "rooted at record" true (List.mem "Racy_chain.record" (roots_of f));
+  let witness_has sub = List.exists (fun w -> contains w sub) f.witness in
   Alcotest.(check bool) "witness passes through bump" true
     (witness_has "calls Racy_chain.bump");
   Alcotest.(check bool) "witness ends at the Hashtbl mutation" true
     (witness_has "Hashtbl.replace");
   (* the chain is root, one call hop, one mutation site *)
-  Alcotest.(check int) "witness length" 3 (List.length f.f_witness)
+  Alcotest.(check int) "witness length" 3 (List.length f.witness)
 
 let test_new_mutator_flagged () =
   (* [Array.fast_sort] entered the mutator table during the stdlib
      audit; target-arg index 1 must root the effect at the sorted
      array, not the compare function *)
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
-  let active = List.filter is_active r.r_findings in
+  let open Analysis.Findings in
+  let active = active_findings () in
   let f =
-    match List.find_opt (fun f -> f.f_target = "Racy_chain.order") active with
+    match List.find_opt (fun f -> f.target = "Racy_chain.order") active with
     | Some f -> f
     | None ->
       Alcotest.failf "Racy_chain.order not flagged; findings: %s"
-        (String.concat ", " (List.map (fun f -> f.f_target) active))
+        (String.concat ", " (List.map (fun f -> f.target) active))
   in
-  Alcotest.(check string) "rule" "race-shared-mut" f.f_rule;
+  Alcotest.(check string) "rule" "race-shared-mut" f.rule;
   Alcotest.(check bool) "rooted at reorder" true
-    (List.mem "Racy_chain.reorder" f.f_roots);
-  let witness_has sub = List.exists (fun w -> contains w sub) f.f_witness in
+    (List.mem "Racy_chain.reorder" (roots_of f));
+  let witness_has sub = List.exists (fun w -> contains w sub) f.witness in
   Alcotest.(check bool) "witness passes through resort" true
     (witness_has "calls Racy_chain.resort");
   Alcotest.(check bool) "witness ends at the sort" true
@@ -86,7 +96,7 @@ let test_file_scope_marker () =
         close_out oc;
         Analysis.Findings.clear_source_cache ();
         let r =
-          Sema.Race_report.race_allow_file
+          Analysis.Findings.allow_file ~marker:"race-allow-file:"
             ~source_root:(Filename.dirname path)
             (Filename.basename path)
         in
@@ -105,20 +115,17 @@ let test_file_scope_marker () =
         "line marker is not a file marker" None r)
 
 let test_safe_clean () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
+  let open Analysis.Findings in
   List.iter
     (fun f ->
-      if contains f.f_file "safe_chain" then
-        Alcotest.failf "clean fixture flagged: %s at %s:%d" f.f_target f.f_file
-          f.f_line)
-    r.r_findings;
+      if contains f.file "safe_chain" then
+        Alcotest.failf "clean fixture flagged: %s at %s:%d" f.target f.file f.line)
+    (Lazy.force fixture_result).Sema.Race_report.r_findings;
   (* every finding in the fixture set comes from the seeded racy unit *)
   List.iter
     (fun f ->
-      Alcotest.(check string)
-        "finding file" "test/fixtures/race/racy_chain.ml" f.f_file)
-    (List.filter is_active r.r_findings)
+      Alcotest.(check string) "finding file" "test/fixtures/race/racy_chain.ml" f.file)
+    (active_findings ())
 
 let test_deterministic_output () =
   let render () =
@@ -129,10 +136,11 @@ let test_deterministic_output () =
   Alcotest.(check string) "two runs render identically" (render ()) (render ())
 
 let test_findings_sorted () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
+  let open Analysis.Findings in
   let keys =
-    List.map (fun f -> (f.f_file, f.f_line, f.f_rule, f.f_target)) r.r_findings
+    List.map
+      (fun f -> (f.file, f.line, f.rule, f.target))
+      (Lazy.force fixture_result).Sema.Race_report.r_findings
   in
   Alcotest.(check bool) "findings sorted by (file, line, rule)" true
     (List.sort compare keys = keys)

@@ -1,5 +1,6 @@
-(* Tests for clove-sema (the AST-level determinism and unit-safety
-   analyzer) and for the schedule-perturbation sanitizer: the static and
+(* Tests for clove-check's determinism and unit-safety rules (parsetree
+   rules, and the typed sema-domain-parallel) and for the
+   schedule-perturbation sanitizer: the static and
    dynamic halves of the same guarantee, that a run is a function of its
    seed and nothing else. *)
 
@@ -19,7 +20,7 @@ open Experiments
 let analyze ?(file = "lib/clove/snippet.ml") src = Sema.Rules.analyze_source ~file src
 
 let count_rule rule fs =
-  List.length (List.filter (fun f -> f.Sema.Rules.rule = rule) fs)
+  List.length (List.filter (fun (f : Analysis.Findings.t) -> f.rule = rule) fs)
 
 let one rule src = check_int rule 1 (count_rule rule (analyze src))
 let none src = check_int "clean" 0 (List.length (analyze src))
@@ -98,25 +99,34 @@ let test_unit_mix () =
   none "let x = gap_ns + rtt_ns\n";
   none "let x = a + b\n"
 
+(* sema-domain-parallel is a typed rule: it runs on the compiled twins
+   under test/fixtures/lint/ (tests run from _build/default/test) *)
+let parallel_unit name =
+  match
+    List.find_opt
+      (fun u -> u.Sema.Cmt_load.u_short = name)
+      (Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/lint/" ])
+  with
+  | Some u -> u
+  | None -> Alcotest.failf "fixture unit %s not loaded" name
+
 let test_domain_parallel () =
-  one "sema-domain-parallel" "let d = Domain.spawn (fun () -> work ())\n";
-  one "sema-domain-parallel" "let m = Mutex.create ()\n";
-  one "sema-domain-parallel" "let c = Atomic.fetch_and_add counter 1\n";
-  one "sema-domain-parallel" "let () = Condition.broadcast cv\n";
+  let analyze u = Sema.Typed_rules.analyze ~source_root:".." u in
+  let flagged = parallel_unit "Domain_parallel_flagged" in
+  (* Domain.spawn, Mutex.create, Atomic.fetch_and_add, Condition.broadcast,
+     Atomic.set *)
+  Alcotest.(check (list int))
+    "every primitive flagged" [ 2; 3; 4; 5; 6 ]
+    (List.map (fun (f : Analysis.Findings.t) -> f.line) (analyze flagged));
+  check_int "one rule" 5 (count_rule "sema-domain-parallel" (analyze flagged));
   (* the parallel runtime itself is whitelisted *)
-  check_int "domain_pool whitelisted" 0
-    (List.length
-       (analyze ~file:"lib/engine/domain_pool.ml"
-          "let d = Domain.spawn (fun () -> work ())\nlet m = Mutex.create ()\n"));
-  check_int "packet_pool whitelisted" 0
-    (List.length
-       (analyze ~file:"lib/netsim/packet_pool.ml"
-          "let key = Domain.DLS.new_key (fun () -> fresh ())\n"));
-  (* calls into the pool are not calls into Domain *)
-  none "let results = Domain_pool.run job points\n";
-  none
-    "(* harness counter -- lint: allow sema-domain-parallel *)\n\
-     let c = Atomic.fetch_and_add counter 1\n"
+  List.iter
+    (fun file ->
+      check_int (file ^ " whitelisted") 0
+        (List.length (analyze { flagged with Sema.Cmt_load.u_source = file })))
+    [ "lib/engine/domain_pool.ml"; "lib/netsim/packet_pool.ml" ];
+  (* Atomic.get, a call into Domain_pool, and a suppression are clean *)
+  check_int "clean twin" 0 (List.length (analyze (parallel_unit "Domain_parallel_clean")))
 
 let test_parse_error () =
   let fs = analyze "let let let\n" in
@@ -150,10 +160,10 @@ let test_fixture_flagged () =
       "sema-unit-mix";
     ];
   List.iter
-    (fun f ->
+    (fun (f : Analysis.Findings.t) ->
       check_bool "finding names the fixture" true
-        (f.Sema.Rules.file = "test/fixtures/order_dependent.ml");
-      check_bool "finding carries a line" true (f.Sema.Rules.line > 0))
+        (f.file = "test/fixtures/order_dependent.ml");
+      check_bool "finding carries a line" true (f.line > 0))
     fs
 
 let test_module_graph () =
